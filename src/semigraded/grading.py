@@ -10,16 +10,18 @@ submodule criterion.
 
 Linear algebra runs over exact rationals after the parameters have been
 specialized; the resulting subspace records which specialization was used.
-Row reduction uses a fixed pivot rule (leftmost column, first available row)
-so results are reproducible byte for byte.
+All of it goes through one sparse echelon pivoting on a row's leading
+monomial.  A reduced row echelon form is unique for a fixed column order, so
+ranks, pivots and witnesses are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .presentation import AlgebraPresentation, format_monomial, specialize_presentation
 from .rewrite import NCPoly, monomial, nc_mul
@@ -170,41 +172,85 @@ def filtration_window(presentation: AlgebraPresentation, d: int) -> FiltrationWi
 # ---------------------------------------------------------------------------
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with the fixed pivot rule.
+class Echelon:
+    """A row space as sparse rows ``{column: scalar}`` in echelon form.
 
-    Scans columns left to right; the first row with a nonzero entry in the
-    scanned column becomes the pivot row.  Returns the nonzero rows (pivots
-    normalized to 1, eliminated above and below) and their pivot columns,
-    which are strictly increasing.
+    ``pivots`` maps each row's lowest column (in a window's descending-deglex
+    order, its leading monomial) to the row, normalized to 1 there.  Rows are
+    only lead-reduced; :meth:`rref` back-substitutes fully.
     """
-    rows = [list(row) for row in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = None
-        for k in range(r, len(rows)):
-            if rows[k][col]:
-                pivot_row = k
+
+    def __init__(self, rows: Iterable[Mapping[int, Fraction]] = ()) -> None:
+        self.pivots: dict[int, dict] = {}
+        for row in rows:
+            self.insert(row)
+
+    def reduce(self, row: Mapping[int, Fraction]) -> dict:
+        """Eliminate the lead of ``row`` until it is not a pivot; returns the rest.
+
+        The lead is looked up afresh after every subtraction, because a
+        pivot row can bring in columns the input did not have.
+        """
+        row = dict(row)
+        while row:
+            lead = min(row)
+            hit = self.pivots.get(lead)
+            if hit is None:
                 break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        head = rows[r][col]
+            _subtract(row, row[lead], hit)
+        return row
+
+    def insert(self, row: Mapping[int, Fraction]) -> Optional[dict]:
+        """Add ``row``; returns its new pivot row, or None if already spanned."""
+        row = self.reduce(row)
+        if not row:
+            return None
+        lead = min(row)
+        head = row[lead]
         if head != 1:
-            rows[r] = [x / head for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][col]:
-                factor = rows[k][col]
-                rows[k] = [a - factor * b for a, b in zip(rows[k], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+            row = {c: x / head for c, x in row.items()}
+        self.pivots[lead] = row
+        return row
+
+    def contains(self, row: Mapping[int, Fraction]) -> bool:
+        return not self.reduce(row)
+
+    def rref(self) -> list[dict]:
+        """The reduced rows in increasing pivot order.
+
+        Rows are back-substituted from the highest pivot down, so every row
+        subtracted is already free of the other pivots.
+        """
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead]
+            for col in [c for c in row if c != lead and c in self.pivots]:
+                _subtract(row, row[col], self.pivots[col])
+        return [self.pivots[lead] for lead in sorted(self.pivots)]
+
+
+def _subtract(row: dict, factor: Fraction, other: Mapping[int, Fraction]) -> None:
+    """``row -= factor * other`` in place, dropping entries that cancel."""
+    for c, x in other.items():
+        value = row.get(c, 0) - factor * x
+        if value:
+            row[c] = value
+        else:
+            del row[c]
+
+
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of dense rows, through :class:`Echelon`.
+
+    Returns the nonzero rows (pivots normalized to 1, eliminated above and
+    below) and their pivot columns, which are strictly increasing.  For a
+    fixed column order the RREF is unique, so the result is the same byte for
+    byte whichever rows are eliminated first.
+    """
+    ncols = len(rows[0]) if rows else 0
+    reduced = Echelon({c: x for c, x in enumerate(row) if x} for row in rows).rref()
+    zero = Fraction(0)
+    dense = [[row.get(c, zero) for c in range(ncols)] for row in reduced]
+    return dense, [min(row) for row in reduced]
 
 
 @dataclass
@@ -235,15 +281,11 @@ class WindowSubspace:
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
         """Whether ``vector`` lies in the row space."""
-        return not any(self._reduce(vector))
+        return self._echelon.contains({c: x for c, x in enumerate(vector) if x})
 
-    def _reduce(self, vector: Sequence[Fraction]) -> list[Fraction]:
-        residual = list(vector)
-        for row, col in zip(self.rows, self.pivots):
-            factor = residual[col]
-            if factor:
-                residual = [a - factor * b for a, b in zip(residual, row)]
-        return residual
+    @cached_property
+    def _echelon(self) -> Echelon:
+        return Echelon({c: x for c, x in enumerate(row) if x} for row in self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -331,35 +373,23 @@ def is_semigraded_window(ws: WindowSubspace) -> SemigradedReport:
     every degree slice must reduce to zero against the row space.  The zero
     subspace passes vacuously.
     """
+    from .presentation import format_element
+
     window = ws.window
-    degrees = [sum(exp) for exp in window.basis]
-    gens = window.gens
     field = ScalarField(())
     for row in ws.rows:
-        present = sorted({degrees[c] for c, x in enumerate(row) if x})
-        if len(present) <= 1:
+        element = {window.basis[c]: x for c, x in enumerate(row) if x}
+        components = homogeneous_components(NCPoly(element))
+        if len(components) <= 1:
             continue
-        for k in present:
-            slice_vec = [
-                x if degrees[c] == k else Fraction(0) for c, x in enumerate(row)
-            ]
-            if not ws.contains(slice_vec):
+        for k, piece in components:
+            if not ws._echelon.contains(
+                {window.index_of(exp): x for exp, x in piece.terms.items()}
+            ):
                 witness = {
-                    "row": _format_vector(row, window, gens, field),
+                    "row": format_element(element, window.gens, field),
                     "degree": k,
-                    "component": _format_vector(slice_vec, window, gens, field),
+                    "component": format_element(piece.terms, window.gens, field),
                 }
                 return SemigradedReport(False, window.d, witness)
     return SemigradedReport(True, window.d)
-
-
-def _format_vector(
-    vector: Sequence[Fraction],
-    window: FiltrationWindow,
-    gens: tuple,
-    field: ScalarField,
-) -> str:
-    from .presentation import format_element
-
-    terms = {window.basis[c]: x for c, x in enumerate(vector) if x}
-    return format_element(terms, gens, field)

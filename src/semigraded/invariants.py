@@ -20,9 +20,9 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
-from .grading import filtration_window, rref
+from .grading import Echelon, filtration_window
 from .presentation import AlgebraPresentation, specialize_presentation
-from .rewrite import NCPoly, deglex_key, nc_mul
+from .rewrite import NCPoly, nc_mul
 from .scalars import SpecializationError
 
 __all__ = [
@@ -415,29 +415,17 @@ def ggk_estimate(
         )
 
     window = filtration_window(spec_pres, int(degree))
-    coords = []
+    echelon = Echelon()
     for b in basis:
-        row = [Fraction(0)] * window.dimension
-        for exp, coeff in b.terms.items():
-            row[window.index_of(exp)] = coeff
-        coords.append(row)
-    rows, pivots = rref(coords)
-    if len(rows) != len(basis):
-        raise SpecializationError(
-            "frame basis is linearly dependent under the specialization "
-            f"{_spec_summary(full)}; try a different specialization"
-        )
-    unit = [Fraction(0)] * window.dimension
-    unit[window.index_of((0,) * n)] = Fraction(1)
-    residual = list(unit)
-    for row, col in zip(rows, pivots):
-        if residual[col]:
-            factor = residual[col]
-            residual = [a - factor * b for a, b in zip(residual, row)]
-    if any(residual):
+        if echelon.insert({window.index_of(e): c for e, c in b.terms.items()}) is None:
+            raise SpecializationError(
+                "frame basis is linearly dependent under the specialization "
+                f"{_spec_summary(full)}; try a different specialization"
+            )
+    if not echelon.contains({window.index_of((0,) * n): Fraction(1)}):
         raise ValueError("the frame span must contain 1")
 
-    if len(rows) == window.dimension and degree >= 1:
+    if len(echelon.pivots) == window.dimension and degree >= 1:
         d = int(degree)
         dims = tuple(comb(n + k * d, k * d) for k in points)
         return GkEstimate(
@@ -465,60 +453,40 @@ def _span_growth(
 ) -> dict:
     """Literal frame-power dimensions f(1..k_max) by iterated products.
 
-    Subspaces are held as reduced sparse rows pivoted on their leading
-    monomial; each round multiplies the frame into the rows added last
-    round (earlier rows were already absorbed).  Dimensions are exact.
+    Rows are held in one echelon over the columns of F_{degree * k_max}; each
+    round multiplies the frame into the rows added last round (earlier rows
+    were already absorbed).  The RREF for that window's column order is
+    unique, so every rank is exact whatever order rows were reduced in.
     """
-    n = spec_pres.n
-    ambient = comb(n + degree * k_max, n) if degree else 1
+    ambient = comb(spec_pres.n + degree * k_max, spec_pres.n)
     if ambient > _GROWTH_DIMENSION_CAP:
         raise ValueError(
             f"span growth would track a window of dimension {ambient} "
             f"(> {_GROWTH_DIMENSION_CAP}); lower k_max or use a frame that "
             "spans a full filtration window, which has a closed form"
         )
-    pivots: dict = {}
+    window = filtration_window(spec_pres, degree * k_max)
+    echelon = Echelon()
 
-    def insert(terms: dict) -> Optional[dict]:
-        row = dict(terms)
-        while row:
-            lead = max(row, key=deglex_key)
-            hit = pivots.get(lead)
-            if hit is None:
-                factor = row[lead]
-                if factor != 1:
-                    row = {e: c / factor for e, c in row.items()}
-                pivots[lead] = row
-                return row
-            factor = row[lead]
-            for e, c in hit.items():
-                value = row.get(e, Fraction(0)) - factor * c
-                if value:
-                    row[e] = value
-                else:
-                    row.pop(e, None)
-        return None
+    def insert(poly: NCPoly) -> Optional[dict]:
+        return echelon.insert({window.index_of(e): c for e, c in poly.terms.items()})
 
-    frontier: list[dict] = []
-    for b in basis:
-        added = insert(b.terms)
-        if added is not None:
-            frontier.append(added)
-    dims = {1: len(pivots)}
+    frontier = [row for row in map(insert, basis) if row is not None]
+    dims = {1: len(echelon.pivots)}
     for k in range(2, k_max + 1):
         fresh: list[dict] = []
         for b in basis:
             if b.degree() == 0:
                 continue
             for row in frontier:
-                product = nc_mul(spec_pres, b, NCPoly(dict(row)))
-                added = insert(product.terms)
+                element = NCPoly({window.basis[c]: x for c, x in row.items()})
+                added = insert(nc_mul(spec_pres, b, element))
                 if added is not None:
                     fresh.append(added)
         frontier = fresh
-        dims[k] = len(pivots)
+        dims[k] = len(echelon.pivots)
         if not frontier:
             for rest in range(k + 1, k_max + 1):
-                dims[rest] = len(pivots)
+                dims[rest] = len(echelon.pivots)
             break
     return dims

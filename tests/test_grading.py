@@ -89,6 +89,27 @@ def test_rref_matches_oracle_on_random_matrices():
         want_rows, want_pivots = rref_oracle(rows)
         assert got_pivots == want_pivots
         assert [list(r) for r in got_rows] == want_rows
+    # rank-deficient 30x60 matrices with a few nonzeros per row, plus
+    # duplicate and zero rows: back-substitution spans many pivots
+    for _ in range(8):
+        rows = []
+        for _ in range(24):
+            row = [Fraction(0)] * 60
+            for col in rng.sample(range(60), rng.randrange(1, 5)):
+                row[col] = Fraction(rng.randrange(-4, 5) or 1, rng.randrange(1, 4))
+            rows.append(row)
+        for _ in range(3):
+            a, b = rng.sample(rows[:24], 2)
+            rows.append([x - 2 * y for x, y in zip(a, b)])
+        rows.append(list(rng.choice(rows)))
+        rows.append(list(rng.choice(rows)))
+        rows.append([Fraction(0)] * 60)
+        rng.shuffle(rows)
+        got_rows, got_pivots = rref([list(r) for r in rows])
+        want_rows, want_pivots = rref_oracle(rows)
+        assert len(got_pivots) < 30
+        assert got_pivots == want_pivots
+        assert got_rows == want_rows
 
 
 def test_left_ideal_window_monomial_ideal():
@@ -159,6 +180,31 @@ def test_specialized_ideal_window_records_assignment():
     ws = left_ideal_window(p, [parse_element(p, "x1")], 2, {"q": Fraction(5)})
     assert ws.to_dict()["specialization"] == {"q": "5"}
     assert ws.rank == 3
+
+
+USO3 = """
+algebra uso3 {
+  params: q inv root 2;
+  vars: x1, x2, x3;
+  rel: x2*x1 = q*x1*x2 - q^(1/2)*x3;
+  rel: x3*x1 = 1/q*x1*x3 + 1/q^(1/2)*x2;
+  rel: x3*x2 = q*x2*x3 - q^(1/2)*x1;
+}
+"""
+
+
+def test_parametric_window_pinned():
+    p = parse_presentation(USO3)
+    gens = [parse_element(p, g) for g in ("x1^2 + x2", "x3*x1 - 1")]
+    ws = left_ideal_window(p, gens, 5, {"q": 3})
+    assert ws.rank == 40
+    report = is_semigraded_window(ws)
+    assert not report.ok
+    assert report.witness == {
+        "row": "x1^5 + 4535/738*x2*x3 + 31063/29889*x1 - 4441/3321*x3",
+        "degree": 1,
+        "component": "31063/29889*x1 - 4441/3321*x3",
+    }
 
 
 def test_window_consistency_guard_not_triggered_for_small_cases():

@@ -226,6 +226,14 @@ def test_degenerate_frame_under_specialization():
     assert est.specialization == {"nu": Fraction(5)}
 
 
+def test_dependent_frame_is_refused():
+    p = parse_presentation(DISPIN)
+    frame = Frame(tuple(parse_element(p, e) for e in ("1", "x1", "2*x1")))
+    with pytest.raises(SpecializationError) as excinfo:
+        ggk_estimate(p, frame=frame, k_max=8)
+    assert "linearly dependent" in str(excinfo.value)
+
+
 def test_estimate_to_dict_shape():
     est = ggk_estimate(free_algebra(2), k_max=16)
     d = est.to_dict()
