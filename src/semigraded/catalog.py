@@ -2,15 +2,16 @@
 
 Each entry records a ring's display name, the exponent of its closed-form
 series 1/(1-t)^e (possibly symbolic in n, m, r), and a recorded polynomial
-string.  Verification derives the same invariants from scratch and compares:
-recorded strings are never corrected, only flagged when they disagree with
-the derivation.
+string.  Verification evaluates the closed forms at the entry's dimension and
+compares: recorded strings are never corrected, only flagged when they
+disagree with the derivation.  ``tests/oracles.py`` checks the closed forms
+themselves.
 
 A subset of entries is executable: they carry builders producing concrete
 presentations (several variants for the multi-type rows), which are
-additionally checked by enumerating monomials against the series and by
-comparing the associated graded ring with a recorded coefficient matrix
-where one is known.
+additionally validated, reported with their window dimensions, and compared
+with a recorded coefficient matrix of the associated graded ring where one
+is known.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .grading import window_dims
-from .invariants import format_polynomial, hilbert_polynomial, hilbert_series
+from .invariants import format_polynomial, gp_coefficients, hilbert_series
 from .presentation import (
     AlgebraPresentation,
     Relation,
@@ -593,21 +594,19 @@ def _dim_value(expr: str, bindings: Mapping[str, int]) -> int:
     raise CatalogError(f"unsupported dimension expression {expr!r}")
 
 
-def _formula_presentation(e: int) -> AlgebraPresentation:
-    return make_presentation("formula", ScalarField(()), _vars(e), {})
-
-
 def catalog_verify(
     entry: CatalogEntry, bindings: Optional[Mapping[str, int]] = None
 ) -> dict:
     """Compare an entry's recorded strings against derived invariants.
 
     Resolves symbolic dimensions with ``bindings`` (falling back to the
-    defaults), derives the closed-form series and the polynomial at that
+    defaults), evaluates the closed-form series and polynomial at that
     dimension, and reports per-field agreement.  Executable entries are
-    also built: their monomial counts must match the series truncation to
-    degree 10 and their associated graded coefficient matrix must match the
-    recorded one where present.
+    also built and validated: each reports its window dimensions to degree
+    10 beside the series truncation (both closed forms, which
+    ``tests/oracles.py`` checks against brute-force counts), and its
+    associated graded coefficient matrix must match the recorded one where
+    present.
     """
     merged = dict(DEFAULT_BINDINGS)
     merged.update(bindings or {})
@@ -617,8 +616,7 @@ def catalog_verify(
             f"dimension {entry.table_n!r} resolves to {e} under "
             f"{ {s: merged[s] for s in entry.symbols} }; need a value >= 1"
         )
-    formula = hilbert_polynomial(_formula_presentation(e))
-    formula_gp_coeffs = formula.polynomial_coefficients
+    formula_gp_coeffs = gp_coefficients(e)
     formula_den = math.factorial(e - 1)
     formula_numerators = tuple(int(c * formula_den) for c in formula_gp_coeffs)
 

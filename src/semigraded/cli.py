@@ -40,7 +40,7 @@ from .invariants import (
     format_polynomial,
     ggk_estimate,
     ggk_exact,
-    hilbert_polynomial,
+    gp_coefficients,
     hilbert_series,
 )
 from .presentation import (
@@ -166,20 +166,11 @@ def _specialization_warning(assignment: dict) -> dict:
     }
 
 
-def _formula_gp_coefficients(n: int) -> tuple:
-    from .presentation import make_presentation
-    from .scalars import ScalarField
-
-    gens = tuple(f"x{i + 1}" for i in range(n))
-    p = make_presentation("formula", ScalarField(()), gens, {})
-    return hilbert_polynomial(p).polynomial_coefficients
-
-
 def _gp_divergence_warnings(n: int) -> list:
     """Catalog rows of this dimension whose recorded polynomial is off."""
     if n < 1:
         return []
-    formula = _formula_gp_coefficients(n)
+    formula = gp_coefficients(n)
     warnings = []
     divergent = []
     recorded = None

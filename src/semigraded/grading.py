@@ -2,11 +2,13 @@
 
 The standard filtration of an algebra with PBW basis assigns every monomial
 its total degree.  This module decomposes elements into homogeneous pieces,
-enumerates the finite-dimensional window F_d of all monomials of degree at
-most d, intersects left ideals with such windows (as a lower approximation,
-monotone in d), and tests whether a window subspace is closed under taking
+counts the degree-k monomials by the closed form C(n+k-1, k), enumerates the
+finite-dimensional window F_d of all monomials of degree at most d,
+intersects left ideals with such windows (as a lower approximation, monotone
+in d), and tests whether a window subspace is closed under taking
 homogeneous components — the finite-window version of the semi-graded
-submodule criterion.
+submodule criterion.  ``tests/oracles.py`` checks the counts and the window
+bases against brute-force generation; nothing re-derives them at runtime.
 
 Linear algebra runs over exact rationals after the parameters have been
 specialized; the resulting subspace records which specialization was used.
@@ -60,8 +62,6 @@ def homogeneous_components(p: NCPoly) -> list[tuple[int, NCPoly]]:
 # monomial counting
 # ---------------------------------------------------------------------------
 
-_ENUMERATION_CAP = 200_000
-
 
 def _monomials_of_degree(n: int, k: int, prefix: tuple = ()) -> list[tuple]:
     """All exponent vectors in n variables of total degree k, descending lex."""
@@ -73,43 +73,26 @@ def _monomials_of_degree(n: int, k: int, prefix: tuple = ()) -> list[tuple]:
     return out
 
 
-def _count_by_degree(n: int, d: int) -> list[int]:
-    """Stars-and-bars table: entry k counts degree-k monomials in n variables.
+def degree_count(n: int, k: int) -> int:
+    """Number of degree-k monomials in n commuting variables: C(n+k-1, k).
 
-    Built by the variable-at-a-time recurrence, deliberately independent of
-    the binomial formula so the two can be cross-checked.
+    With no variables only the constant monomial exists.  The closed form is
+    checked against a brute-force count in ``tests/oracles.py``.
     """
-    counts = [1] + [0] * d
-    for _ in range(n):
-        for k in range(1, d + 1):
-            counts[k] += counts[k - 1]
-    return counts
+    if n == 0:
+        return 1 if k == 0 else 0
+    return comb(n + k - 1, k)
 
 
 def window_dims(presentation: AlgebraPresentation, d: int) -> list[int]:
     """Per-degree dimensions ``[dim A_0, ..., dim A_d]`` of the PBW basis.
 
-    Each entry is computed by counting exponent vectors (literal enumeration
-    for small windows, a stars-and-bars recurrence for large ones) and
-    compared against the closed form C(n+k-1, k); a mismatch means the
-    package itself is broken and raises immediately.
+    Each entry is the closed form :func:`degree_count`, which
+    ``tests/oracles.py`` checks against enumerated exponent vectors.
     """
     if d < 0:
         raise ValueError(f"degree bound must be >= 0, got {d}")
-    n = presentation.n
-    if n == 0:
-        counted = [1] + [0] * d
-    elif comb(n + d, d) <= _ENUMERATION_CAP:
-        counted = [len(_monomials_of_degree(n, k)) for k in range(d + 1)]
-    else:
-        counted = _count_by_degree(n, d)
-    formula = [comb(n + k - 1, k) for k in range(d + 1)]
-    if counted != formula:
-        raise RuntimeError(
-            "internal consistency failure: monomial enumeration "
-            f"{counted} != binomial formula {formula} for n={n}, d={d}"
-        )
-    return counted
+    return [degree_count(presentation.n, k) for k in range(d + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +141,7 @@ def filtration_window(presentation: AlgebraPresentation, d: int) -> FiltrationWi
     basis: list[tuple] = []
     for k in range(d, -1, -1):
         basis.extend(_monomials_of_degree(n, k))
-    window = FiltrationWindow(tuple(presentation.gens), d, tuple(basis))
-    if window.dimension != comb(n + d, d):
-        raise RuntimeError(
-            "internal consistency failure: window dimension "
-            f"{window.dimension} != C({n + d},{d}) for n={n}, d={d}"
-        )
-    return window
+    return FiltrationWindow(tuple(presentation.gens), d, tuple(basis))
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +293,9 @@ def left_ideal_window(
     field = presentation.field
     raw_rows: list[list[Fraction]] = []
     for gen in generators:
-        spec_terms = {}
-        for exp, coeff in gen.terms.items():
-            value = field.specialize(coeff, full)
-            if value:
-                spec_terms[exp] = value
-        spec_gen = NCPoly(spec_terms)
+        spec_gen = NCPoly(
+            {exp: field.specialize(coeff, full) for exp, coeff in gen.terms.items()}
+        )
         if not spec_gen:
             continue
         gen_degree = spec_gen.degree()

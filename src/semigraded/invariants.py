@@ -2,11 +2,13 @@
 
 For an algebra with an n-variable PBW basis the degree-k slice has dimension
 C(n+k-1, k).  This module packages that as a Hilbert series (closed form
-1/(1-t)^n plus an exact truncation), a Hilbert polynomial of degree n-1
-(computed two independent ways that must agree), and the growth dimension
-n = 1 + deg of the polynomial, together with an empirical estimator that
-measures the growth of powers of a finite-dimensional generating frame and
-fits the growth exponent by least squares on a log-log scale.
+1/(1-t)^n plus an exact truncation), a Hilbert polynomial of degree n-1 (the
+falling product (t+1)...(t+n-1)/(n-1)!), and the growth dimension n = 1 + deg
+of the polynomial, together with an empirical estimator that measures the
+growth of powers of a finite-dimensional generating frame and fits the growth
+exponent by least squares on a log-log scale.  Each function body is the
+closed form; ``tests/oracles.py`` checks the closed forms against series
+convolution, brute-force monomial counts and polynomial evaluation.
 
 All series and polynomial arithmetic is exact (integers and Fractions);
 floating point enters only in the logarithms of the estimator fit.
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
-from .grading import Echelon, filtration_window
+from .grading import Echelon, degree_count, filtration_window
 from .presentation import AlgebraPresentation, specialize_presentation
 from .rewrite import NCPoly, nc_mul
 from .scalars import SpecializationError
@@ -42,21 +44,20 @@ __all__ = [
 # Hilbert function / series / polynomial
 # ---------------------------------------------------------------------------
 
-_FUNCTION_CHECK_CAP = 10_000
-_POLYNOMIAL_CHECK_RANGE = 50
+_POLYNOMIAL_TRUNCATION = 50
 
 
 @dataclass
 class HilbertData:
     """Exact growth data of an n-variable PBW algebra.
 
-    ``truncated_coefficients[k]`` is the dimension of the degree-k slice for
-    k up to the chosen bound; the closed form of the generating series is
-    1/(1-t)^n.  ``polynomial_coefficients`` lists the Hilbert polynomial's
-    exact rational coefficients, constant term first (``None`` only in the
-    degenerate zero-variable case); it evaluates to the coefficient list on
-    every truncated index, its coefficients are strictly positive, and its
-    degree is n - 1.
+    ``truncated_coefficients[k]`` is the dimension C(n+k-1, k) of the
+    degree-k slice for k up to the chosen bound; the closed form of the
+    generating series is 1/(1-t)^n.  ``polynomial_coefficients`` lists the
+    Hilbert polynomial's exact rational coefficients, constant term first
+    (``None`` only in the degenerate zero-variable case); its degree is
+    n - 1.  ``tests/oracles.py`` checks that it evaluates to the truncated
+    coefficients and that its coefficients are strictly positive.
     """
 
     n: int
@@ -101,127 +102,54 @@ def _eval_poly(coeffs: Sequence[Fraction], k: int) -> Fraction:
     return value
 
 
-def _expand_series(n: int, bound: int) -> list[int]:
-    """Power-series coefficients of 1/(1-t)^n up to degree ``bound``.
-
-    Multiplies the geometric series in one at a time (each factor turns the
-    coefficient list into its running sums), so the result is independent of
-    the binomial formula it is checked against.
-    """
-    coeffs = [1] + [0] * bound
-    for _ in range(n):
-        running = 0
-        for k in range(bound + 1):
-            running += coeffs[k]
-            coeffs[k] = running
-    return coeffs
-
-
 def hilbert_function(presentation: AlgebraPresentation, k: int) -> int:
     """Dimension C(n+k-1, k) of the degree-k slice of the PBW basis.
 
-    Small values are cross-checked against a literal count of exponent
-    vectors; a disagreement means the package is broken and raises.
+    ``tests/oracles.py`` checks the closed form against a brute-force count.
     """
     if k < 0:
         raise ValueError(f"degree must be >= 0, got {k}")
-    n = presentation.n
-    if n == 0:
-        return 1 if k == 0 else 0
-    value = comb(n + k - 1, k)
-    if value <= _FUNCTION_CHECK_CAP:
-        from .grading import _monomials_of_degree
-
-        counted = len(_monomials_of_degree(n, k))
-        if counted != value:
-            raise RuntimeError(
-                "internal consistency failure: counted "
-                f"{counted} degree-{k} monomials in {n} variables, formula says {value}"
-            )
-    return value
+    return degree_count(presentation.n, k)
 
 
 def hilbert_series(presentation: AlgebraPresentation, K: int) -> HilbertData:
     """Series data truncated at degree ``K`` plus the Hilbert polynomial.
 
-    The truncation of the closed form 1/(1-t)^n (expanded as an actual power
-    series) must equal the per-degree dimensions exactly; the polynomial part
-    is attached whenever n >= 1.
+    The truncation lists the closed-form slice dimensions C(n+k-1, k), which
+    ``tests/oracles.py`` checks against the power series of 1/(1-t)^n
+    expanded by convolution; the polynomial part is attached whenever n >= 1.
     """
     if K < 0:
         raise ValueError(f"truncation bound must be >= 0, got {K}")
     n = presentation.n
-    coefficients = tuple(hilbert_function(presentation, k) for k in range(K + 1))
-    expanded = tuple(_expand_series(n, K))
-    if expanded != coefficients:
-        raise RuntimeError(
-            "internal consistency failure: series expansion "
-            f"{expanded} != dimension sequence {coefficients} for n={n}"
-        )
-    polynomial = _gp_coefficients(presentation) if n >= 1 else None
-    data = HilbertData(n, n, coefficients, polynomial)
-    if polynomial is not None:
-        for k, c in enumerate(coefficients):
-            if data.polynomial_value(k) != c:
-                raise RuntimeError(
-                    "internal consistency failure: polynomial value at "
-                    f"k={k} is {data.polynomial_value(k)}, dimension is {c}"
-                )
-    return data
+    coefficients = tuple(degree_count(n, k) for k in range(K + 1))
+    polynomial = gp_coefficients(n) if n >= 1 else None
+    return HilbertData(n, n, coefficients, polynomial)
 
 
 def hilbert_polynomial(presentation: AlgebraPresentation) -> HilbertData:
-    """Hilbert polynomial of degree n-1, built two independent ways.
+    """Hilbert polynomial of degree n-1, with the series truncated at 50.
 
-    Route one assembles the coefficients from the elementary symmetric
-    polynomials of the integers {1-n, ..., -1}; route two expands the
-    product (t+1)(t+2)...(t+n-1) directly.  Both are divided by (n-1)! and
-    must agree exactly; the result must evaluate to C(n+k-1, k) for every
-    k in 0..50 and have strictly positive coefficients.
+    The coefficients are those of :func:`gp_coefficients`;
+    ``tests/oracles.py`` checks them against the falling product and their
+    values against C(n+k-1, k) for every k in 0..50.
     """
     if presentation.n < 1:
         raise ValueError("the Hilbert polynomial needs at least one variable")
-    return hilbert_series(presentation, _POLYNOMIAL_CHECK_RANGE)
+    return hilbert_series(presentation, _POLYNOMIAL_TRUNCATION)
 
 
-def _elementary_symmetric(values: Sequence[int]) -> list[int]:
-    """e_0, e_1, ..., e_len of the given values, by the one-at-a-time rule."""
-    es = [1] + [0] * len(values)
-    for count, v in enumerate(values, start=1):
-        for r in range(count, 0, -1):
-            es[r] += v * es[r - 1]
-    return es
+def gp_coefficients(n: int) -> tuple:
+    """Coefficients of (t+1)(t+2)...(t+n-1)/(n-1)! for n >= 1, constant first.
 
-
-def _falling_product(n: int) -> list[int]:
-    """Integer coefficients of (t+1)(t+2)...(t+n-1), constant term first."""
+    The polynomial has degree n-1, strictly positive coefficients, and takes
+    the value C(n+k-1, k) at every k >= 0.
+    """
     coeffs = [1]
     for i in range(1, n):
-        shifted = [0] + coeffs
-        coeffs = [i * c for c in coeffs] + [0]
-        coeffs = [a + b for a, b in zip(coeffs, shifted)]
-    return coeffs
-
-
-def _gp_coefficients(presentation: AlgebraPresentation) -> tuple:
-    n = presentation.n
-    values = list(range(1 - n, 0))
-    es = _elementary_symmetric(values)
+        coeffs = [i * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
     denominator = math.factorial(n - 1)
-    via_symmetric = [
-        Fraction((-1) ** r * es[r], denominator) for r in range(n - 1, -1, -1)
-    ]
-    via_product = [Fraction(c, denominator) for c in _falling_product(n)]
-    if via_symmetric != via_product:
-        raise RuntimeError(
-            "internal consistency failure: symmetric-function route "
-            f"{via_symmetric} != product route {via_product} for n={n}"
-        )
-    if len(via_product) != n or any(c <= 0 for c in via_product):
-        raise RuntimeError(
-            f"internal consistency failure: malformed polynomial {via_product} for n={n}"
-        )
-    return tuple(via_product)
+    return tuple(Fraction(c, denominator) for c in coeffs)
 
 
 def format_polynomial(coefficients: Sequence[Fraction]) -> str:
@@ -263,16 +191,7 @@ def format_polynomial(coefficients: Sequence[Fraction]) -> str:
 
 def ggk_exact(presentation: AlgebraPresentation) -> int:
     """The growth dimension: the variable count n, equal to 1 + deg(Gp)."""
-    n = presentation.n
-    if n == 0:
-        return 0
-    data = hilbert_polynomial(presentation)
-    degree = len(data.polynomial_coefficients) - 1
-    if n != 1 + degree:
-        raise RuntimeError(
-            f"internal consistency failure: n={n} but 1 + deg(Gp) = {1 + degree}"
-        )
-    return n
+    return presentation.n
 
 
 @dataclass(frozen=True)
@@ -399,14 +318,10 @@ def ggk_estimate(
 
     spec_pres, full = specialize_presentation(presentation, specialization)
     field = presentation.field
-    basis: list[NCPoly] = []
-    for element in frame.basis:
-        terms = {}
-        for exp, coeff in element.terms.items():
-            value = field.specialize(coeff, full)
-            if value:
-                terms[exp] = value
-        basis.append(NCPoly(terms))
+    basis = [
+        NCPoly({exp: field.specialize(c, full) for exp, c in element.terms.items()})
+        for element in frame.basis
+    ]
     degree = max((b.degree() for b in basis if b), default=0)
     if any(not b for b in basis):
         raise SpecializationError(

@@ -14,7 +14,9 @@ Elements are kept in a canonical reduced form:
 
 A field with no parameters degenerates to Q itself and its elements are plain
 :class:`fractions.Fraction` objects, which already satisfy every invariant
-above; that path avoids polynomial machinery entirely.
+above; that path avoids polynomial machinery entirely.  sympy, whose ZZ
+polynomial rings carry the parametric elements, is imported only when a
+field with parameters is built.
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
-
-import sympy
-from sympy import ZZ
-from sympy.polys.orderings import grlex
-from sympy.polys.rings import ring as _sympy_ring
 
 __all__ = [
     "ParamDecl",
@@ -90,8 +87,10 @@ class ScalarField:
         self.params = params
         self._index = {decl.name: i for i, decl in enumerate(params)}
         if params:
+            from sympy.polys import ZZ, grlex, ring
+
             names = ",".join(decl.name for decl in params)
-            created = _sympy_ring(names, ZZ, order=grlex)
+            created = ring(names, ZZ, order=grlex)
             self.ring = created[0]
             self._gens = tuple(created[1:])
             self.zero: Scalar = ParamScalar(self, self.ring.zero, self.ring.one)
@@ -201,10 +200,8 @@ class ScalarField:
         The value is assigned to the root indeterminate, so a parameter of
         root_order k specializes to value**k.
         """
-        return {
-            decl.name: Fraction(sympy.prime(i + 1) + 1)
-            for i, decl in enumerate(self.params)
-        }
+        primes = _primes(len(self.params))
+        return {decl.name: Fraction(p + 1) for decl, p in zip(self.params, primes)}
 
     def resolve_assignment(
         self, assignment: Optional[Mapping[str, Union[Fraction, int]]] = None
@@ -452,6 +449,17 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a if a else 1
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes, by trial division."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
 
 
 def _eval_poly(p, values: list[Fraction]) -> Fraction:

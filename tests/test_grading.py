@@ -77,6 +77,19 @@ def test_filtration_window_basis_order():
         w.index_of((3, 0))
 
 
+def test_filtration_window_bases_against_brute_force_counts():
+    for n in range(1, 5):
+        gens = tuple(f"x{i+1}" for i in range(n))
+        p = make_presentation("free", ScalarField(()), gens, {})
+        for d in range(7):
+            basis = filtration_window(p, d).basis
+            assert len(set(basis)) == len(basis)
+            assert all(len(e) == n and sum(e) <= d for e in basis)
+            assert len(basis) == sum(count_monomials(n, k) for k in range(d + 1))
+            descending = sorted(basis, key=lambda e: (sum(e), e), reverse=True)
+            assert list(basis) == descending
+
+
 def test_rref_matches_oracle_on_random_matrices():
     rng = random.Random(17)
     for _ in range(30):

@@ -1,10 +1,14 @@
 """Scalar field: canonical forms, arithmetic laws, specialization."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import semigraded
 from semigraded.scalars import (
     ParamDecl,
     ScalarField,
@@ -131,6 +135,13 @@ def test_default_specialization_primes_plus_one():
         (ParamDecl("a"), ParamDecl("b"), ParamDecl("c"))
     ).default_specialization()
     assert list(three.values()) == [Fraction(3), Fraction(4), Fraction(6)]
+    # 28 parameters: as many as quantum_space has at n=8
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+              59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107]
+    many = ScalarField(
+        tuple(ParamDecl(f"p{i}") for i in range(28))
+    ).default_specialization()
+    assert list(many.values()) == [Fraction(p + 1) for p in primes]
 
 
 def test_invertible_parameter_rejects_zero():
@@ -180,3 +191,49 @@ def test_format_round_trip_through_parser():
 
 def Fractionish(field, a, b):
     return field.coerce(Fraction(a, b))
+
+
+PLAIN_PATH = '''
+import sys
+from semigraded import (
+    Frame, format_element, ggk_estimate, hilbert_series, left_ideal_window,
+    parse_element, parse_presentation,
+)
+p = parse_presentation("""
+algebra dispin {
+  vars: x1, x2, x3;
+  rel: x2*x1 = x1*x2 - x1;
+  rel: x3*x1 = -x1*x3 + x2;
+  rel: x3*x2 = x2*x3 - x3;
+}
+""")
+nf = parse_element(p, "(x3 + x1)^3*x2")
+assert format_element(nf.terms, p.gens, p.field)
+assert hilbert_series(p, 10).truncated_coefficients[10] == 66
+assert left_ideal_window(p, [parse_element(p, "x1*x2 - x3")], 4).rank > 0
+frame = Frame((parse_element(p, "1"), parse_element(p, "x1 + x2")))
+assert ggk_estimate(p, frame=frame, k_max=8).method == "span_growth"
+assert p.field.resolve_assignment() == {}  # as sgr gkdim --specialize does
+assert "sympy" not in sys.modules, "the plain path loaded sympy"
+parse_presentation("""
+algebra uso3 {
+  params: q inv root 2;
+  vars: x1, x2, x3;
+  rel: x2*x1 = q*x1*x2 - q^(1/2)*x3;
+  rel: x3*x1 = 1/q*x1*x3 + 1/q^(1/2)*x2;
+  rel: x3*x2 = q*x2*x3 - q^(1/2)*x1;
+}
+""")
+assert "sympy" in sys.modules, "a parametric field did not load sympy"
+'''
+
+
+def test_sympy_loads_only_for_parametric_fields():
+    # a fresh interpreter: this one may have imported sympy already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semigraded.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-c", PLAIN_PATH], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
