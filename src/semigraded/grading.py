@@ -65,6 +65,8 @@ def homogeneous_components(p: NCPoly) -> list[tuple[int, NCPoly]]:
 
 def _monomials_of_degree(n: int, k: int, prefix: tuple = ()) -> list[tuple]:
     """All exponent vectors in n variables of total degree k, descending lex."""
+    if n == 0:
+        return [prefix] if k == 0 else []
     if n == 1:
         return [prefix + (k,)]
     out: list[tuple] = []

@@ -14,15 +14,20 @@ Elements are kept in a canonical reduced form:
 
 A field with no parameters degenerates to Q itself and its elements are plain
 :class:`fractions.Fraction` objects, which already satisfy every invariant
-above; that path avoids polynomial machinery entirely.  sympy, whose ZZ
-polynomial rings carry the parametric elements, is imported only when a
-field with parameters is built.
+above.  Parametric elements are native sparse polynomials, dicts from
+exponent tuples to ints, with the monomial part of the denominator kept as
+negative exponents of the numerator (a Laurent form).  Products, sums and
+quotients whose denominators are monomials times integers therefore cancel
+by exponent arithmetic and integer gcd alone.  sympy is imported only to
+cancel the gcd of two multi-term polynomials, as in ``(q^2 - nu^2)/(q - nu)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add, sub
 from typing import Mapping, Optional, Union
 
 __all__ = [
@@ -73,8 +78,9 @@ class ScalarField:
     """Q(p_1, ..., p_m) with exact canonical-fraction arithmetic.
 
     With no parameters the elements are plain ``Fraction``; otherwise they are
-    :class:`ParamScalar` pairs of sympy ZZ-polynomials in the root
-    indeterminates.
+    :class:`ParamScalar` Laurent fractions of sparse integer polynomials in
+    the root indeterminates.  Every parametric result passes through
+    :meth:`normalize`.
     """
 
     def __init__(self, params: tuple[ParamDecl, ...] = ()) -> None:
@@ -87,17 +93,12 @@ class ScalarField:
         self.params = params
         self._index = {decl.name: i for i, decl in enumerate(params)}
         if params:
-            from sympy.polys import ZZ, grlex, ring
-
-            names = ",".join(decl.name for decl in params)
-            created = ring(names, ZZ, order=grlex)
-            self.ring = created[0]
-            self._gens = tuple(created[1:])
-            self.zero: Scalar = ParamScalar(self, self.ring.zero, self.ring.one)
-            self.one: Scalar = ParamScalar(self, self.ring.one, self.ring.one)
+            self._origin = (0,) * len(params)
+            # the one denominator of every element with denominator 1
+            self._unit = {self._origin: 1}
+            self.zero: Scalar = ParamScalar(self, {}, self._unit)
+            self.one: Scalar = ParamScalar(self, {self._origin: 1}, self._unit)
         else:
-            self.ring = None
-            self._gens = ()
             self.zero = Fraction(0)
             self.one = Fraction(1)
 
@@ -122,12 +123,12 @@ class ScalarField:
     def from_int(self, k: int) -> Scalar:
         if not self.params:
             return Fraction(k)
-        return ParamScalar(self, self.ring(k), self.ring.one)
+        return ParamScalar(self, {self._origin: k} if k else {}, self._unit)
 
     def from_fraction(self, q: Fraction) -> Scalar:
         if not self.params:
             return Fraction(q)
-        return self.normalize(self.ring(q.numerator), self.ring(q.denominator))
+        return self.normalize(q.numerator, q.denominator)
 
     def coerce(self, value) -> Scalar:
         """Coerce an int, Fraction, or same-field scalar into this field."""
@@ -144,31 +145,66 @@ class ScalarField:
         raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
 
     def normalize(self, num, den=None) -> Scalar:
-        """Canonical reduced fraction num/den (polynomials or ints)."""
+        """Canonical reduced fraction num/den.
+
+        ``num`` and ``den`` are ints or sparse polynomials ``{exponent tuple:
+        int}`` in the root indeterminates; negative exponents (Laurent
+        monomials) are allowed.  The dicts are not modified, and the result
+        may keep them, so callers must not modify them afterwards.
+        """
         if not self.params:
             n = num if isinstance(num, int) else int(num)
             d = 1 if den is None else (den if isinstance(den, int) else int(den))
             return Fraction(n, d)
-        num = num if not isinstance(num, int) else self.ring(num)
-        den = self.ring.one if den is None else (self.ring(den) if isinstance(den, int) else den)
+        num = self._poly(num)
+        if den is None or den is self._unit:
+            return ParamScalar(self, num, self._unit) if num else self.zero
+        den = self._poly(den)
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
-            return ParamScalar(self, self.ring.zero, self.ring.one)
-        g = num.gcd(den)
-        if g != self.ring.one:
-            num = num.exquo(g)
-            den = den.exquo(g)
-        if den.LC < 0:
-            num = -num
-            den = -den
+            return self.zero
+        # the monomial factor of the denominator becomes negative exponents
+        low = _low(den)
+        if any(low):
+            den = _shift(den, low)
+            num = _shift(num, low)
+        if len(den) == 1:
+            c = den[self._origin]
+            g = gcd(c, *num.values())
+            if c < 0:
+                g = -g
+            if g != 1:
+                num = {e: v // g for e, v in num.items()}
+                c //= g
+            return ParamScalar(self, num, self._unit if c == 1 else {self._origin: c})
+        g = gcd(*num.values(), *den.values())
+        if g != 1:
+            num = {e: v // g for e, v in num.items()}
+            den = {e: v // g for e, v in den.items()}
+        if len(num) > 1:
+            # a monomial and den (which has no monomial factor) share no factor
+            low = _low(num)
+            num, den = _cancel(_shift(num, low), den)
+            num = _shift(num, tuple(-e for e in low))
+        if den[max(den, key=_grlex)] < 0:
+            num = {e: -v for e, v in num.items()}
+            den = {e: -v for e, v in den.items()}
+        if den == self._unit:
+            den = self._unit
         return ParamScalar(self, num, den)
+
+    def _poly(self, p) -> dict:
+        if isinstance(p, int):
+            return {self._origin: p} if p else {}
+        if 0 in p.values():
+            return {e: c for e, c in p.items() if c}
+        return p
 
     def parameter(self, name: str) -> Scalar:
         """The parameter itself (the root indeterminate raised to root_order)."""
-        decl = self.params[self._index[name]]
-        gen = self._gens[self._index[name]]
-        return ParamScalar(self, gen ** decl.root_order, self.ring.one)
+        index = self._index[name]
+        return self._monomial(index, self.params[index].root_order)
 
     def root_power(self, name: str, numer: int, denom: int = 1) -> Scalar:
         """The parameter raised to the rational power numer/denom.
@@ -177,8 +213,9 @@ class ScalarField:
         """
         if denom <= 0:
             raise ValueError("exponent denominator must be positive")
-        decl = self.params[self._index[name]]
-        g = _gcd(abs(numer), denom) if numer else denom
+        index = self._index[name]
+        decl = self.params[index]
+        g = gcd(numer, denom)
         numer //= g
         denom //= g
         if decl.root_order % denom:
@@ -186,11 +223,12 @@ class ScalarField:
                 f"power {numer}/{denom} of {name} needs a declared root of order "
                 f"divisible by {denom} (have {decl.root_order})"
             )
-        e = numer * (decl.root_order // denom)
-        gen = self._gens[self._index[name]]
-        if e >= 0:
-            return ParamScalar(self, gen ** e, self.ring.one)
-        return ParamScalar(self, self.ring.one, gen ** (-e))
+        return self._monomial(index, numer * (decl.root_order // denom))
+
+    def _monomial(self, index: int, exponent: int) -> Scalar:
+        exp = list(self._origin)
+        exp[index] = exponent
+        return ParamScalar(self, {tuple(exp): 1}, self._unit)
 
     # -- specialization ---------------------------------------------------
 
@@ -228,20 +266,22 @@ class ScalarField:
 
         The assignment value is bound to the root indeterminate of each
         parameter.  Raises :class:`SpecializationError` if a denominator
-        vanishes.
+        vanishes, including the monomial part kept as negative exponents.
         """
         if not self.params:
             return Fraction(x)
         full = self.resolve_assignment(assignment)
         values = [full[decl.name] for decl in self.params]
-        num = _eval_poly(x.num, values)
-        den = _eval_poly(x.den, values)
-        if den == 0:
+        vanishes = any(
+            v == 0 and any(e[i] < 0 for e in x._num) for i, v in enumerate(values)
+        )
+        den = _eval_poly(x._den, values)
+        if vanishes or den == 0:
             raise SpecializationError(
                 f"denominator {self.format(x)} vanishes under "
                 + _format_assignment(full)
             )
-        return num / den
+        return _eval_poly(x._num, values) / den
 
     # -- formatting -------------------------------------------------------
 
@@ -249,11 +289,12 @@ class ScalarField:
         """Canonical, re-parseable text for a scalar."""
         if not self.params:
             return str(Fraction(x))
-        num_s = self._format_poly(x.num)
-        if x.den == self.ring.one:
+        num, den = x._fraction()
+        num_s = self._format_poly(num)
+        if den == self._unit:
             return num_s
-        den_s = self._format_poly(x.den)
-        if len(x.num) > 1:
+        den_s = self._format_poly(den)
+        if len(num) > 1:
             num_s = f"({num_s})"
         if _top_level_operator(den_s):
             den_s = f"({den_s})"
@@ -273,12 +314,12 @@ class ScalarField:
             return True, core
         return False, s
 
-    def _format_poly(self, p) -> str:
+    def _format_poly(self, p: dict) -> str:
         if not p:
             return "0"
         chunks: list[str] = []
-        for monom, coeff in p.terms():
-            c = int(coeff)
+        for monom in sorted(p, key=_grlex, reverse=True):
+            c = p[monom]
             mag = abs(c)
             parts: list[str] = []
             if mag != 1 or not any(monom):
@@ -306,18 +347,40 @@ class ScalarField:
 
 
 class ParamScalar:
-    """Canonical fraction of ZZ-polynomials in the field's root indeterminates.
+    """Canonical fraction of integer polynomials in the root indeterminates.
 
-    Instances are produced normalized (see :meth:`ScalarField.normalize`) and
-    treated as immutable.
+    Stored as a Laurent numerator ``_num`` (exponents may be negative) over a
+    denominator ``_den`` with no monomial factor, both ``{exponent tuple:
+    int}``; ``_den`` is the field's shared unit dict when it is 1.  ``num``
+    and ``den`` give the classical coprime pair (the monomial part moved back
+    into the denominator).  Instances are produced normalized (see
+    :meth:`ScalarField.normalize`) and treated as immutable.
     """
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "_num", "_den")
 
-    def __init__(self, field: ScalarField, num, den) -> None:
+    def __init__(self, field: ScalarField, num: dict, den: dict) -> None:
         self.field = field
-        self.num = num
-        self.den = den
+        self._num = num
+        self._den = den
+
+    def _fraction(self) -> tuple[dict, dict]:
+        if not self._num:
+            return {}, self._den
+        shift = tuple(min(e, 0) for e in _low(self._num))
+        if not any(shift):
+            return self._num, self._den
+        return _shift(self._num, shift), _shift(self._den, shift)
+
+    @property
+    def num(self) -> dict:
+        """Numerator polynomial {exponent tuple: int} of the reduced fraction."""
+        return dict(self._fraction()[0])
+
+    @property
+    def den(self) -> dict:
+        """Denominator polynomial {exponent tuple: int} of the reduced fraction."""
+        return dict(self._fraction()[1])
 
     # All binary ops accept int/Fraction and same-field ParamScalar.
 
@@ -332,9 +395,12 @@ class ParamScalar:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return self.field.normalize(self.num + o.num, self.den)
-        return self.field.normalize(self.num * o.den + o.num * self.den, self.den * o.den)
+        d1, d2 = self._den, o._den
+        if d1 is d2 or d1 == d2:
+            return self.field.normalize(_add(self._num, o._num), d1)
+        return self.field.normalize(
+            _add(_mul(self._num, d2), _mul(o._num, d1)), _mul(d1, d2)
+        )
 
     __radd__ = __add__
 
@@ -342,9 +408,7 @@ class ParamScalar:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        if self.den == o.den:
-            return self.field.normalize(self.num - o.num, self.den)
-        return self.field.normalize(self.num * o.den - o.num * self.den, self.den * o.den)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = self._pair(other)
@@ -356,7 +420,12 @@ class ParamScalar:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return self.field.normalize(self.num * o.num, self.den * o.den)
+        d1, d2 = self._den, o._den
+        unit = self.field._unit
+        return self.field.normalize(
+            _mul(self._num, o._num),
+            unit if d1 is unit and d2 is unit else _mul(d1, d2),
+        )
 
     __rmul__ = __mul__
 
@@ -364,9 +433,9 @@ class ParamScalar:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        if not o._num:
             raise ZeroDivisionError("scalar division by zero")
-        return self.field.normalize(self.num * o.den, self.den * o.num)
+        return self.field.normalize(_mul(self._num, o._den), _mul(self._den, o._num))
 
     def __rtruediv__(self, other):
         o = self._pair(other)
@@ -377,29 +446,32 @@ class ParamScalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k >= 0:
-            return self.field.normalize(self.num ** k, self.den ** k)
-        if not self.num:
-            raise ZeroDivisionError("zero scalar has no negative powers")
-        return self.field.normalize(self.den ** (-k), self.num ** (-k))
+        num, den, unit = self._num, self._den, self.field._unit
+        if k < 0:
+            if not num:
+                raise ZeroDivisionError("zero scalar has no negative powers")
+            num, den, k = den, num, -k
+        return self.field.normalize(
+            _pow(num, k, unit), unit if den is unit else _pow(den, k, unit)
+        )
 
     def __neg__(self):
-        return ParamScalar(self.field, -self.num, self.den)
+        return ParamScalar(self.field, {e: -c for e, c in self._num.items()}, self._den)
 
     def __pos__(self):
         return self
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._num)
 
     def __eq__(self, other) -> bool:
         o = self._pair(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._num == o._num and self._den == o._den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((frozenset(self._num.items()), frozenset(self._den.items())))
 
     def __repr__(self) -> str:
         return self.field.format(self)
@@ -442,13 +514,105 @@ def scalar_specialize(
     return field.specialize(x, assignment)
 
 
-# -- helpers --------------------------------------------------------------
+# -- sparse integer polynomials {exponent tuple: nonzero int} --------------
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _grlex(exp: tuple) -> tuple:
+    return (sum(exp), exp)
+
+
+def _low(p: dict) -> tuple:
+    """Componentwise minimum exponent: the largest monomial dividing p."""
+    return tuple(map(min, zip(*p)))
+
+
+def _shift(p: dict, exp: tuple) -> dict:
+    """p divided by the monomial with exponents ``exp``."""
+    return {tuple(map(sub, e, exp)): c for e, c in p.items()}
+
+
+def _add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
+
+
+def _mul(a: dict, b: dict) -> dict:
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return {}
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        if not any(eb):
+            return a if cb == 1 else {e: c * cb for e, c in a.items()}
+        if len(eb) == 1:
+            s = eb[0]
+            return {(e + s,): c * cb for (e,), c in a.items()}
+        return {tuple(map(add, e, eb)): c * cb for e, c in a.items()}
+    if len(next(iter(b))) == 1:
+        # one parameter: accumulate into a list indexed by exponent, 2-3x
+        # faster than a dict of 1-tuples unless the exponents are far apart
+        ka = [e for (e,) in a]
+        kb = [e for (e,) in b]
+        low = min(ka) + min(kb)
+        span = max(ka) + max(kb) - low + 1
+        if span <= 4 * len(a) * len(b):
+            acc = [0] * span
+            shifted = [(e - low, c) for (e,), c in b.items()]
+            for (ea,), ca in a.items():
+                for eb, cb in shifted:
+                    acc[ea + eb] += ca * cb
+            return {(e + low,): c for e, c in enumerate(acc) if c}
+    out: dict = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            s = get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _pow(p: dict, k: int, one: dict) -> dict:
+    if len(p) == 1:
+        ((e, c),) = p.items()
+        return {tuple(x * k for x in e): c**k}
+    result = one
+    for _ in range(k):
+        result = _mul(result, p)
+    return result
+
+
+def _cancel(p: dict, q: dict) -> tuple[dict, dict]:
+    """(p/g, q/g) for g the gcd of two polynomials, by sympy."""
+    from sympy.polys import ZZ, grlex, ring
+
+    r = ring(",".join(f"x{i}" for i in range(len(next(iter(p))))), ZZ, order=grlex)[0]
+    _, pg, qg = r.from_dict(p).cofactors(r.from_dict(q))
+    return (
+        {tuple(e): int(c) for e, c in pg.items()},
+        {tuple(e): int(c) for e, c in qg.items()},
+    )
+
+
+def _eval_poly(p: dict, values: list[Fraction]) -> Fraction:
+    total = Fraction(0)
+    for monom, coeff in p.items():
+        term = Fraction(coeff)
+        for v, e in zip(values, monom):
+            if e:
+                term *= v**e
+        total += term
+    return total
 
 
 def _primes(count: int) -> list[int]:
@@ -460,17 +624,6 @@ def _primes(count: int) -> list[int]:
             primes.append(candidate)
         candidate += 1
     return primes
-
-
-def _eval_poly(p, values: list[Fraction]) -> Fraction:
-    total = Fraction(0)
-    for monom, coeff in p.terms():
-        term = Fraction(int(coeff))
-        for v, e in zip(values, monom):
-            if e:
-                term *= v ** e
-        total += term
-    return total
 
 
 def _format_assignment(assignment: Mapping[str, Fraction]) -> str:

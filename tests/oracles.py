@@ -179,3 +179,33 @@ def rref(rows):
         rank += 1
     reduced = [r for r in rows[:rank]]
     return reduced, pivots
+
+
+# ---------------------------------------------------------------------------
+# canonical fractions of parametric scalars
+# ---------------------------------------------------------------------------
+
+
+def canonical_fraction(expr, symbols):
+    """Canonical (numerator, denominator) of a sympy rational function.
+
+    ``symbols`` are the root indeterminates in field order.  The result has
+    integer coefficients with no common content, coprime polynomials and a
+    positive graded-lex leading coefficient in the denominator, each part a
+    map {exponent tuple: int}; zero is ({}, {(0, ..., 0): 1}).
+    """
+    import sympy
+
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    parts = [
+        {m: c for m, c in sympy.Poly(p, *symbols, domain="QQ").terms() if c}
+        for p in (num, den)
+    ]
+    if not parts[0]:
+        return {}, {(0,) * len(symbols): 1}
+    scale = math.lcm(*(c.q for p in parts for c in p.values()))
+    n, d = ({m: int(c * scale) for m, c in p.items()} for p in parts)
+    g = math.gcd(*n.values(), *d.values())
+    if d[max(d, key=lambda m: (sum(m), m))] < 0:
+        g = -g
+    return {m: c // g for m, c in n.items()}, {m: c // g for m, c in d.items()}

@@ -367,11 +367,11 @@ def test_text_format_shows_real_timing(files, capsys):
     assert "normal_form: x1" in out
 
 
-def test_module_entry_point(files):
+def test_module_entry_point(files, package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "semigraded", "validate", files["dispin"],
          "--format", "json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=package_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "validate"

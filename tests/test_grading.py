@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from semigraded.grading import (
+    degree_count,
     filtration_window,
     homogeneous_components,
     is_semigraded_window,
@@ -88,6 +89,14 @@ def test_filtration_window_bases_against_brute_force_counts():
             assert len(basis) == sum(count_monomials(n, k) for k in range(d + 1))
             descending = sorted(basis, key=lambda e: (sum(e), e), reverse=True)
             assert list(basis) == descending
+
+
+def test_filtration_window_of_zero_variables_is_the_constant():
+    p = make_presentation("e", ScalarField(()), (), {})
+    for d in range(4):
+        basis = filtration_window(p, d).basis
+        assert basis == ((),)
+        assert len(basis) == sum(degree_count(0, k) for k in range(d + 1))
 
 
 def test_rref_matches_oracle_on_random_matrices():

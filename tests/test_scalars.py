@@ -1,6 +1,5 @@
 """Scalar field: canonical forms, arithmetic laws, specialization."""
 
-import os
 import random
 import subprocess
 import sys
@@ -8,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-import semigraded
+from semigraded.presentation import parse_scalar
 from semigraded.scalars import (
     ParamDecl,
     ScalarField,
@@ -169,8 +168,6 @@ def test_scalar_specialize_wrapper():
 
 
 def test_format_round_trip_through_parser():
-    from semigraded.presentation import parse_scalar
-
     field = field_qnu()
     q = field.parameter("q")
     nu = field.parameter("nu")
@@ -193,11 +190,130 @@ def Fractionish(field, a, b):
     return field.coerce(Fraction(a, b))
 
 
-PLAIN_PATH = '''
+def _match_oracle(field, symbols, leaves, targeted, count, seed):
+    """Random + - * / ** expressions over ``leaves`` (pairs of a scalar and
+    the same value as a sympy expression in the root ``symbols``) give the
+    oracle's canonical fraction, text and hash."""
+    sympy = pytest.importorskip("sympy")
+    from oracles import canonical_fraction
+
+    rng = random.Random(seed)
+
+    def build(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return leaves[rng.randrange(len(leaves))]
+        a, ea = build(depth - 1)
+        op = rng.choice("+-*/^")
+        if op == "^":
+            k = rng.randint(-2, 3)
+            if k < 0 and not a:
+                return a, ea
+            return a**k, ea**k
+        b, eb = build(depth - 1)
+        if op == "+":
+            return a + b, ea + eb
+        if op == "-":
+            return a - b, ea - eb
+        if op == "*":
+            return a * b, ea * eb
+        if not b:
+            return a, ea
+        return a / b, ea / eb
+
+    def as_expr(poly):
+        return sum(
+            c * sympy.Mul(*(v**k for v, k in zip(symbols, e))) for e, c in poly.items()
+        )
+
+    previous_num = None
+    for x, expr in targeted + [build(3) for _ in range(count)]:
+        num, den = canonical_fraction(expr, symbols)
+        assert (x.num, x.den) == (num, den), (field.format(x), expr)
+        rebuilt = scalar_normalize(field, num, den)
+        assert rebuilt == x
+        assert hash(rebuilt) == hash(x)
+        assert field.format(rebuilt) == field.format(x)
+        assert parse_scalar(field, field.format(x)) == x
+        if previous_num:
+            # classical parts go back through normalize as a new fraction
+            ratio = scalar_normalize(field, x.num, previous_num)
+            assert (ratio.num, ratio.den) == canonical_fraction(
+                as_expr(num) / as_expr(previous_num), symbols
+            )
+        previous_num = num
+
+
+def test_random_expressions_match_canonical_fraction_oracle():
+    sympy = pytest.importorskip("sympy")
+    field = field_qnu()
+    s, n = sympy.symbols("s nu")  # s is the root indeterminate q^(1/2)
+    q, nu = field.parameter("q"), field.parameter("nu")
+    leaves = [
+        (field.coerce(2), sympy.Integer(2)),
+        (field.coerce(-3), sympy.Integer(-3)),
+        (field.coerce(Fraction(1, 2)), sympy.Rational(1, 2)),
+        (q, s**2),
+        (field.root_power("q", 1, 2), s),
+        (field.root_power("q", -3, 2), s**-3),
+        (nu, n),
+        (q - nu, s**2 - n),
+    ]
+    targeted = [
+        (q / 2, s**2 / 2),  # integer denominator
+        (field.coerce(2) / (4 * q), 2 / (4 * s**2)),  # integer content
+        (field.one / (nu - q), 1 / (n - s**2)),  # negative leading coefficient
+        ((q**2 - nu**2) / (q - nu), (s**4 - n**2) / (s**2 - n)),
+        ((q + nu) ** 2 / (q**2 - nu**2), (s**2 + n) ** 2 / (s**4 - n**2)),
+        ((2 * q * nu + 4 * nu) / (6 * q**2 - 24), (2 * s**2 * n + 4 * n) / (6 * s**4 - 24)),
+        (q - q, sympy.Integer(0)),
+        (field.zero**0, sympy.Integer(1)),
+        ((q - nu) ** -2, (s**2 - n) ** -2),
+    ]
+    _match_oracle(field, (s, n), leaves, targeted, 200, 20161)
+
+
+def test_random_one_parameter_expressions_match_canonical_fraction_oracle():
+    # one parameter has its own product loops, dense and far-apart exponents
+    sympy = pytest.importorskip("sympy")
+    field = ScalarField((ParamDecl("q", invertible=True, root_order=2),))
+    s = sympy.Symbol("s")
+    q = field.parameter("q")
+    leaves = [
+        (field.coerce(3), sympy.Integer(3)),
+        (field.coerce(Fraction(-2, 3)), sympy.Rational(-2, 3)),
+        (q, s**2),
+        (field.root_power("q", -1, 2), 1 / s),
+        (q - 1, s**2 - 1),
+        (q**20 + 2, s**40 + 2),
+    ]
+    targeted = [
+        ((q**2 - 1) / (q - 1), (s**4 - 1) / (s**2 - 1)),
+        ((q + 1) ** 3 * (q**20 - 1), (s**2 + 1) ** 3 * (s**40 - 1)),
+    ]
+    _match_oracle(field, (s,), leaves, targeted, 100, 5)
+
+
+def test_specialization_of_a_monomial_denominator_at_zero_is_refused():
+    field = ScalarField((ParamDecl("q"),))  # params: q;  (not invertible)
+    q = field.parameter("q")
+    with pytest.raises(SpecializationError) as info:
+        field.specialize(field.one / q, {"q": 0})
+    assert str(info.value) == "denominator 1/q vanishes under {q=0}"
+    with pytest.raises(SpecializationError):
+        field.specialize(q**2 + field.one / q**3, {"q": 0})
+    assert field.specialize(q + field.one / q, {"q": 2}) == Fraction(5, 2)
+    assert field.specialize(q * q / q, {"q": 0}) == 0
+
+
+PARAMETRIC_PATH = '''
 import sys
 from semigraded import (
-    Frame, format_element, ggk_estimate, hilbert_series, left_ideal_window,
-    parse_element, parse_presentation,
+    Frame, ParamDecl, ScalarField, check_pbw, format_element, ggk_estimate,
+    hilbert_series, left_ideal_window, nc_pow, parse_element,
+    parse_presentation, print_presentation, specialize_presentation,
+)
+from semigraded.catalog import (
+    build_quantum_space, build_skew3d, build_uso3, build_woronowicz,
 )
 p = parse_presentation("""
 algebra dispin {
@@ -214,26 +330,27 @@ assert left_ideal_window(p, [parse_element(p, "x1*x2 - x3")], 4).rank > 0
 frame = Frame((parse_element(p, "1"), parse_element(p, "x1 + x2")))
 assert ggk_estimate(p, frame=frame, k_max=8).method == "span_growth"
 assert p.field.resolve_assignment() == {}  # as sgr gkdim --specialize does
-assert "sympy" not in sys.modules, "the plain path loaded sympy"
-parse_presentation("""
-algebra uso3 {
-  params: q inv root 2;
-  vars: x1, x2, x3;
-  rel: x2*x1 = q*x1*x2 - q^(1/2)*x3;
-  rel: x3*x1 = 1/q*x1*x3 + 1/q^(1/2)*x2;
-  rel: x3*x2 = q*x2*x3 - q^(1/2)*x1;
-}
-""")
-assert "sympy" in sys.modules, "a parametric field did not load sympy"
+for built in (build_uso3(), build_woronowicz(), build_quantum_space(3), build_skew3d(1)):
+    p = parse_presentation(print_presentation(built))
+    x = parse_element(p, "x1 + x2/2 + x3")
+    assert format_element(nc_pow(p, x, 4).terms, p.gens, p.field)
+    assert check_pbw(p).ok
+    specialize_presentation(p)
+assert "sympy" not in sys.modules, "monomial denominators loaded sympy"
+field = ScalarField((ParamDecl("q"), ParamDecl("nu")))
+q, nu = field.parameter("q"), field.parameter("nu")
+assert (q**2 - nu**2) / (q - nu) == q + nu
+assert "sympy" in sys.modules, "multi-term cancellation did not load sympy"
 '''
 
 
-def test_sympy_loads_only_for_parametric_fields():
-    # a fresh interpreter: this one may have imported sympy already
-    src = os.path.dirname(os.path.dirname(os.path.abspath(semigraded.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+def test_sympy_loads_only_for_parametric_fields(package_env):
+    # Only cancelling two multi-term polynomials needs sympy: the plain path,
+    # the catalog's parametric presentations (monomial denominators) and
+    # their rewriting, PBW check and specialization must not load it.
+    # A fresh interpreter: this one may have imported sympy already.
     proc = subprocess.run(
-        [sys.executable, "-c", PLAIN_PATH], capture_output=True, text=True, env=env
+        [sys.executable, "-c", PARAMETRIC_PATH],
+        capture_output=True, text=True, env=package_env,
     )
     assert proc.returncode == 0, proc.stderr
