@@ -481,7 +481,14 @@ class ParamScalar:
 
 
 def scalar_normalize(field: ScalarField, num, den=None) -> Scalar:
-    """Canonical reduced fraction of two integer-coefficient polynomials."""
+    """Canonical reduced fraction of two integer-coefficient polynomials.
+
+    Dict arguments are copied, so the caller may modify them afterwards.
+    """
+    if isinstance(num, dict):
+        num = dict(num)
+    if isinstance(den, dict):
+        den = dict(den)
     return field.normalize(num, den)
 
 
@@ -551,24 +558,7 @@ def _mul(a: dict, b: dict) -> dict:
         ((eb, cb),) = b.items()
         if not any(eb):
             return a if cb == 1 else {e: c * cb for e, c in a.items()}
-        if len(eb) == 1:
-            s = eb[0]
-            return {(e + s,): c * cb for (e,), c in a.items()}
         return {tuple(map(add, e, eb)): c * cb for e, c in a.items()}
-    if len(next(iter(b))) == 1:
-        # one parameter: accumulate into a list indexed by exponent, 2-3x
-        # faster than a dict of 1-tuples unless the exponents are far apart
-        ka = [e for (e,) in a]
-        kb = [e for (e,) in b]
-        low = min(ka) + min(kb)
-        span = max(ka) + max(kb) - low + 1
-        if span <= 4 * len(a) * len(b):
-            acc = [0] * span
-            shifted = [(e - low, c) for (e,), c in b.items()]
-            for (ea,), ca in a.items():
-                for eb, cb in shifted:
-                    acc[ea + eb] += ca * cb
-            return {(e + low,): c for e, c in enumerate(acc) if c}
     out: dict = {}
     get = out.get
     for ea, ca in a.items():

@@ -273,7 +273,8 @@ def test_random_expressions_match_canonical_fraction_oracle():
 
 
 def test_random_one_parameter_expressions_match_canonical_fraction_oracle():
-    # one parameter has its own product loops, dense and far-apart exponents
+    # the fields of uso3, woronowicz and skew3d have one parameter; q^20 + 2
+    # puts far-apart exponents into the products
     sympy = pytest.importorskip("sympy")
     field = ScalarField((ParamDecl("q", invertible=True, root_order=2),))
     s = sympy.Symbol("s")
@@ -291,6 +292,21 @@ def test_random_one_parameter_expressions_match_canonical_fraction_oracle():
         ((q + 1) ** 3 * (q**20 - 1), (s**2 + 1) ** 3 * (s**40 - 1)),
     ]
     _match_oracle(field, (s,), leaves, targeted, 100, 5)
+
+
+def test_scalar_normalize_copies_its_arguments():
+    field = field_qnu()
+    num = {(2, 0): 3, (0, 1): -1}
+    x = scalar_normalize(field, num)
+    top, den = {(0, 1): 1}, {(0, 0): 2, (2, 1): 1}
+    y = scalar_normalize(field, top, den)
+    hashes = hash(x), hash(y)
+    num[(2, 0)] = 5
+    top[(0, 1)] = 7
+    den[(4, 4)] = 1
+    assert field.format(x) == "3*q - nu"
+    assert field.format(y) == "nu/(q*nu + 2)"
+    assert (hash(x), hash(y)) == hashes
 
 
 def test_specialization_of_a_monomial_denominator_at_zero_is_refused():
