@@ -296,7 +296,7 @@ def left_ideal_window(
     raw_rows: list[list[Fraction]] = []
     for gen in generators:
         spec_gen = NCPoly(
-            {exp: field.specialize(coeff, full) for exp, coeff in gen.terms.items()}
+            {exp: field.evaluate(coeff, full) for exp, coeff in gen.terms.items()}
         )
         if not spec_gen:
             continue

@@ -319,7 +319,7 @@ def ggk_estimate(
     spec_pres, full = specialize_presentation(presentation, specialization)
     field = presentation.field
     basis = [
-        NCPoly({exp: field.specialize(c, full) for exp, c in element.terms.items()})
+        NCPoly({exp: field.evaluate(c, full) for exp, c in element.terms.items()})
         for element in frame.basis
     ]
     degree = max((b.degree() for b in basis if b), default=0)

@@ -800,14 +800,14 @@ def specialize_presentation(
     plain = ScalarField(())
     relations = {}
     for key, rel in p.relations.items():
-        c = p.field.specialize(rel.c, full)
+        c = p.field.evaluate(rel.c, full)
         if c == 0:
             raise SpecializationError(
                 f"relation {p.gens[rel.j]}*{p.gens[rel.i]}: leading coefficient "
                 f"{p.field.format(rel.c)} vanishes under the assignment"
             )
-        linear = tuple(p.field.specialize(s, full) for s in rel.linear)
-        const = p.field.specialize(rel.constant, full)
+        linear = tuple(p.field.evaluate(s, full) for s in rel.linear)
+        const = p.field.evaluate(rel.constant, full)
         relations[key] = Relation(rel.i, rel.j, c, linear, const)
     out = AlgebraPresentation(p.name, plain, p.gens, relations)
     return out, full

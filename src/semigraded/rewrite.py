@@ -10,12 +10,20 @@ at the same degree, which is a well-founded measure.
 The worker is ``x_i * (ordered monomial)``; its results are memoized per
 presentation, as are full monomial-pair products, so repeated multiplications
 over the same presentation stay cheap.
+
+Over Q the engine computes in Python ``int`` wherever a coefficient is
+integral: rule coefficients and inputs are narrowed on the way in, so the
+memo tables hold ints for integral coefficients, and non-integral ones mix in
+as ``Fraction`` through the numeric tower.  Every result is widened back to
+``Fraction`` before it leaves the engine, so callers only ever see field
+elements.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .presentation import AlgebraPresentation, format_element
@@ -142,15 +150,33 @@ def monomial(presentation: AlgebraPresentation, exponents, coeff=None) -> NCPoly
 # ---------------------------------------------------------------------------
 
 
+def _narrow(c):
+    """An integral ``Fraction`` as its ``int``; any other scalar unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _widen(terms: dict) -> NCPoly:
+    """Wrap a fresh engine result, turning its ``int`` coefficients back
+    into ``Fraction`` so that no ``int`` leaves the engine."""
+    for exp, c in terms.items():
+        if type(c) is int:
+            terms[exp] = Fraction(c)
+    return NCPoly(terms)
+
+
 class _Engine:
     def __init__(self, presentation: AlgebraPresentation) -> None:
         p = presentation
         self.n = p.n
-        self.one = p.field.one
+        self.one = _narrow(p.field.one)
         self.rules = {}
         for (i, j), rel in p.relations.items():
-            sparse = tuple((k, s) for k, s in enumerate(rel.linear) if s)
-            self.rules[(i, j)] = (rel.c, sparse, rel.constant, rel.is_default(p.field))
+            sparse = tuple((k, _narrow(s)) for k, s in enumerate(rel.linear) if s)
+            self.rules[(i, j)] = (
+                _narrow(rel.c), sparse, _narrow(rel.constant), rel.is_default(p.field)
+            )
         self._var: dict = {}
         self._pair: dict = {}
 
@@ -214,8 +240,10 @@ class _Engine:
 
     def product(self, p_terms: Mapping, q_terms: Mapping) -> dict:
         out: dict = {}
+        q_items = [(beta, _narrow(cb)) for beta, cb in q_terms.items()]
         for alpha, ca in p_terms.items():
-            for beta, cb in q_terms.items():
+            ca = _narrow(ca)
+            for beta, cb in q_items:
                 cab = ca * cb
                 for gamma, cg in self.monomial_product(alpha, beta).items():
                     _acc(out, gamma, cab * cg)
@@ -252,7 +280,7 @@ def _engine(presentation: AlgebraPresentation) -> _Engine:
 
 def nc_mul(presentation: AlgebraPresentation, p: NCPoly, q: NCPoly) -> NCPoly:
     """Product in normal form.  deg(pq) <= deg(p) + deg(q)."""
-    return NCPoly(_engine(presentation).product(p.terms, q.terms))
+    return _widen(_engine(presentation).product(p.terms, q.terms))
 
 
 def nc_pow(presentation: AlgebraPresentation, p: NCPoly, k: int) -> NCPoly:
@@ -260,7 +288,9 @@ def nc_pow(presentation: AlgebraPresentation, p: NCPoly, k: int) -> NCPoly:
         raise ValueError("negative powers are not defined for elements")
     result = constant(presentation, 1)
     for _ in range(k):
-        result = nc_mul(presentation, result, p)
+        # x_i * (ordered monomial) is one memo lookup; multiplying on the
+        # right would walk every letter of the monomial instead
+        result = nc_mul(presentation, p, result)
     return result
 
 
@@ -269,13 +299,14 @@ def free_to_normal_form(presentation: AlgebraPresentation, free: Mapping) -> NCP
     eng = _engine(presentation)
     out: dict = {}
     for word, coeff in free.items():
+        coeff = _narrow(coeff)
         for exp, c in eng.word_normal_form(word).items():
             _acc(out, exp, coeff * c)
-    return NCPoly(out)
+    return _widen(out)
 
 
 # ---------------------------------------------------------------------------
-# confluence evidence
+# confluence check
 # ---------------------------------------------------------------------------
 
 
@@ -284,8 +315,10 @@ class PbwReport:
     """Outcome of bounded-degree consistency checks for a presentation.
 
     ``ok`` means every generator triple reassociated identically and all
-    sampled random triples did too.  This is evidence at the checked degrees,
-    not a proof for all degrees.
+    sampled random triples did too.  The generator triples are the only
+    overlaps of the deglex-decreasing rules, so their agreement is a proof
+    that the ordered monomials form a basis (Bergman's diamond lemma).  The
+    random triples are a cross-check of the engine, not part of the proof.
     """
 
     ok: bool
@@ -332,11 +365,12 @@ def check_pbw(
     samples: int = 20,
     seed: int = 0,
 ) -> PbwReport:
-    """Associativity/confluence evidence for the rewrite rules.
+    """Confluence check for the rewrite rules.
 
     Re-associates every generator triple x_k, x_j, x_i (k > j > i) — the
-    critical overlaps — and additionally ``samples`` random element triples of
-    degree <= degree_bound.  Any mismatch is reported with the two normal
+    critical overlaps, whose agreement proves confluence — and, as a
+    cross-check of the engine, ``samples`` random element triples of degree
+    <= degree_bound.  Any mismatch is reported with the two normal
     forms; a presentation whose relations are not mutually consistent fails
     here with a concrete witness.
     """

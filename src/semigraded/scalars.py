@@ -14,7 +14,9 @@ Elements are kept in a canonical reduced form:
 
 A field with no parameters degenerates to Q itself and its elements are plain
 :class:`fractions.Fraction` objects, which already satisfy every invariant
-above.  Parametric elements are native sparse polynomials, dicts from
+above.  (The rewriting engine computes with integral coefficients as ``int``
+internally, but widens its results back, so every element it returns is a
+``Fraction``.)  Parametric elements are native sparse polynomials, dicts from
 exponent tuples to ints, with the monomial part of the denominator kept as
 negative exponents of the numerator (a Laurent form).  Products, sums and
 quotients whose denominators are monomials times integers therefore cancel
@@ -77,10 +79,11 @@ Scalar = Union[Fraction, "ParamScalar"]
 class ScalarField:
     """Q(p_1, ..., p_m) with exact canonical-fraction arithmetic.
 
-    With no parameters the elements are plain ``Fraction``; otherwise they are
-    :class:`ParamScalar` Laurent fractions of sparse integer polynomials in
-    the root indeterminates.  Every parametric result passes through
-    :meth:`normalize`.
+    With no parameters the elements are plain ``Fraction`` (the rewriting
+    engine narrows integral ones to ``int`` only inside its memo tables);
+    otherwise they are :class:`ParamScalar` Laurent fractions of sparse
+    integer polynomials in the root indeterminates.  Every parametric result
+    passes through :meth:`normalize`.
     """
 
     def __init__(self, params: tuple[ParamDecl, ...] = ()) -> None:
@@ -270,7 +273,14 @@ class ScalarField:
         """
         if not self.params:
             return Fraction(x)
-        full = self.resolve_assignment(assignment)
+        return self.evaluate(x, self.resolve_assignment(assignment))
+
+    def evaluate(self, x: Scalar, full: Mapping[str, Fraction]) -> Fraction:
+        """:meth:`specialize` under a map that :meth:`resolve_assignment`
+        already returned, so callers that evaluate many scalars under one
+        assignment resolve and validate it once."""
+        if not self.params:
+            return Fraction(x)
         values = [full[decl.name] for decl in self.params]
         vanishes = any(
             v == 0 and any(e[i] < 0 for e in x._num) for i, v in enumerate(values)

@@ -199,6 +199,28 @@ def test_specialize_presentation_to_rationals():
     assert spec.relation(0, 1).linear[2] == Fraction(-3)
 
 
+def test_specialize_presentation_resolves_the_assignment_once(monkeypatch):
+    from semigraded.catalog import build_quantum_space
+    from semigraded.grading import left_ideal_window
+    from semigraded.rewrite import variable
+
+    calls = []
+    resolve = ScalarField.resolve_assignment
+
+    def counting(self, assignment=None):
+        calls.append(assignment)
+        return resolve(self, assignment)
+
+    monkeypatch.setattr(ScalarField, "resolve_assignment", counting)
+    p = build_quantum_space(8)
+    spec, full = specialize_presentation(p)
+    assert len(calls) == 1
+    assert spec.field.m == 0 and len(full) == p.field.m
+    calls.clear()
+    left_ideal_window(p, [variable(p, 0)], 2)
+    assert len(calls) == 1
+
+
 def test_parse_element_normal_form():
     uso3 = parse_presentation(USO3)
     element = parse_element(uso3, "x2*x1")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,7 @@ from semigraded.presentation import (
     parse_element,
     parse_presentation,
     Relation,
+    specialize_presentation,
 )
 from semigraded.rewrite import (
     NCPoly,
@@ -27,6 +29,8 @@ from semigraded.rewrite import (
 from semigraded.scalars import ScalarField
 
 from oracles import rewrite_word, rewrite_product
+
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 WEYL1 = """
 algebra weyl1 {
@@ -219,3 +223,63 @@ def test_seeded_sampling_is_deterministic():
     a = check_pbw(p, degree_bound=3, samples=10, seed=42)
     b = check_pbw(p, degree_bound=3, samples=10, seed=42)
     assert a.to_dict() == b.to_dict()
+
+
+def _assert_fraction_coefficients(poly):
+    # Fraction(2) == 2, so an equality check alone would miss a leaked int
+    assert poly.terms
+    assert all(type(c) is Fraction for c in poly.terms.values()), poly
+
+
+def test_no_int_coefficient_leaves_the_engine():
+    for text in (DISPIN, (INPUTS / "weyl2.sgr").read_text()):
+        p = parse_presentation(text)
+        a = parse_element(p, "2*x1*x2 - x2 + 3")
+        b = parse_element(p, "x2^2 - 4*x1")
+        _assert_fraction_coefficients(a)
+        _assert_fraction_coefficients(nc_mul(p, a, b))
+        _assert_fraction_coefficients(nc_mul(p, b, a))
+        _assert_fraction_coefficients(nc_pow(p, a, 3))
+        _assert_fraction_coefficients(
+            free_to_normal_form(p, {(1, 0): Fraction(2), (1, 1, 0): Fraction(-1, 2)})
+        )
+
+
+def test_products_against_word_oracle_over_mixed_rational_rules():
+    # uso3 at its default point: rules with coefficients 9, 1/9, -3 and 1/3
+    p, _ = specialize_presentation(parse_presentation(USO3))
+    assert {p.relation(0, 2).c, p.relation(0, 2).linear[1]} == {
+        Fraction(1, 9), Fraction(1, 3)
+    }
+    rng = random.Random(31)
+    coeffs = [Fraction(1, 2), Fraction(-3, 7), Fraction(2), Fraction(-1)]
+    for _ in range(12):
+        a, b = (
+            NCPoly({
+                tuple(rng.randrange(3) for _ in range(p.n)): rng.choice(coeffs)
+                for _ in range(rng.randrange(1, 4))
+            })
+            for _ in range(2)
+        )
+        got = nc_mul(p, a, b)
+        assert got.terms == rewrite_product(p, a.terms, b.terms)
+        _assert_fraction_coefficients(got)
+
+
+def test_nc_pow_is_the_right_associated_product():
+    for path in sorted(INPUTS.glob("*.sgr")):
+        p = parse_presentation(path.read_text())
+        assert check_pbw(p, samples=0).ok, path.name
+        x = parse_element(p, " + ".join(p.gens) + " - 2")
+        expected = constant(p, 1)
+        for k in range(1, 7):
+            expected = nc_mul(p, x, expected)
+            got = nc_pow(p, x, k)
+            assert got == expected, (path.name, k)
+            assert all(type(c) is type(p.field.one) for c in got.terms.values())
+    # where overlaps fail, the two associations differ from k = 3 on and
+    # neither is an answer; nc_pow multiplies on the left
+    p = parse_presentation(DISPIN.replace("x2*x3 - x3", "x2*x3 - x3 + 1"))
+    x = parse_element(p, "x1 + x2 + x3")
+    assert nc_pow(p, x, 3) == nc_mul(p, x, nc_mul(p, x, x))
+    assert nc_pow(p, x, 3) != nc_mul(p, nc_mul(p, x, x), x)
