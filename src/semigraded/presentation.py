@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import partial
 from typing import ClassVar, Mapping, Optional, Union
 
 from .scalars import (
@@ -245,17 +246,58 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+class _Cursor:
+    """A position in the tokens of one text; failures carry line and caret."""
+
+    def __init__(self, text: str) -> None:
+        self.lines = text.splitlines() or [""]
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def at_keyword(self, word) -> bool:
+        tok = self.peek()
+        return tok.kind == "name" and tok.text == word
+
+    def fail(self, message, tok=None):
+        tok = tok or self.peek()
+        src = self.lines[tok.line - 1] if 0 < tok.line <= len(self.lines) else ""
+        raise PresentationError(message, tok.line, tok.col, src)
+
+    def expect(self, kind, what=""):
+        tok = self.peek()
+        if tok.kind != kind:
+            self.fail(what or f"expected {kind!r}, found {tok.text or tok.kind!r}")
+        return self.take()
+
+    def expect_keyword(self, word):
+        if not self.at_keyword(word):
+            tok = self.peek()
+            self.fail(f"expected {word!r}, found {tok.text or tok.kind!r}")
+        return self.take()
+
+
 # ---------------------------------------------------------------------------
-# expression evaluation (free words over the generators)
+# expression evaluation
 # ---------------------------------------------------------------------------
 #
-# Expressions evaluate in the free algebra first: values are dicts mapping a
-# word (tuple of generator indices, left factor first) to a field scalar.
-# Relation sides stay free so canonicalization can see the literal words; for
-# normal-form evaluation the caller pushes each word through the rewriter.
+# Values are dicts mapping a basis key to a field scalar, and the evaluator
+# is told which ring they live in.  Relation sides are evaluated in the free
+# algebra (keys are words, tuples of generator indices with the left factor
+# first), so canonicalization sees the literal words ``xj*xi`` and ``xi*xj``.
+# Element text is evaluated straight in the ordered-monomial basis (keys are
+# exponent vectors, products go through the rewrite engine), so
+# ``(x1+x2+x3)^40`` never expands into 3^40 words.
 
 
-def _free_add(field, p, q):
+def _add(field, p, q):
     out = dict(p)
     for w, c in q.items():
         s = out.get(w, field.zero) + c
@@ -266,7 +308,7 @@ def _free_add(field, p, q):
     return out
 
 
-def _free_scale(field, p, c):
+def _scale(p, c):
     if not c:
         return {}
     return {w: c * v for w, v in p.items()}
@@ -299,142 +341,138 @@ class _ExprParser:
     NAME resolves to a generator or a declared parameter.  Division requires a
     scalar divisor; negative and fractional exponents require a scalar base
     (fractional ones a bare parameter with a compatible declared root).
+
+    The ring is given by ``keys`` (generator name -> its basis key),
+    ``one_key`` (the key of the unit) and ``mul`` (the product of two
+    values).  A product chain ``a*b*c`` is evaluated as ``a*(b*c)`` and a power
+    as ``a*(a*(...))``, the order in which a word is rewritten.
     """
 
-    def __init__(self, tokens, pos, field, var_index, lines):
-        self.tokens = tokens
-        self.pos = pos
+    def __init__(self, cursor, field, keys, one_key, mul):
+        self.cur = cursor
         self.field = field
-        self.var_index = var_index
-        self.lines = lines
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok or self.peek()
-        src = self.lines[tok.line - 1] if 0 < tok.line <= len(self.lines) else ""
-        raise PresentationError(message, tok.line, tok.col, src)
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text or tok.kind!r}")
-        return self.take()
+        self.keys = keys
+        self.one_key = one_key
+        self.mul = mul
 
     def parse_expr(self):
+        cur = self.cur
         negate = False
-        if self.peek().kind == "-":
-            self.take()
+        if cur.peek().kind == "-":
+            cur.take()
             negate = True
         value = self.parse_term()
         if negate:
-            value = _free_scale(self.field, value, -self.field.one)
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
+            value = _scale(value, -self.field.one)
+        while cur.peek().kind in ("+", "-"):
+            op = cur.take().kind
             rhs = self.parse_term()
             if op == "-":
-                rhs = _free_scale(self.field, rhs, -self.field.one)
-            value = _free_add(self.field, value, rhs)
+                rhs = _scale(rhs, -self.field.one)
+            value = _add(self.field, value, rhs)
         return value
 
     def parse_term(self):
-        value = self.parse_factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.take()
+        cur = self.cur
+        factors = [self.parse_factor()]
+        while cur.peek().kind in ("*", "/"):
+            op = cur.take()
             rhs = self.parse_factor()
             if op.kind == "*":
-                value = _free_mul(self.field, value, rhs)
-            else:
-                c = self._as_scalar(rhs)
-                if c is None:
-                    self.fail("division by a non-scalar element", op)
-                if not c:
-                    self.fail("division by zero", op)
-                value = _free_scale(self.field, value, self.field.one / c)
+                factors.append(rhs)
+                continue
+            c = self._as_scalar(rhs)
+            if c is None:
+                cur.fail("division by a non-scalar element", op)
+            if not c:
+                cur.fail("division by zero", op)
+            # scalars are central: dividing the last factor is dividing the chain
+            factors[-1] = _scale(factors[-1], self.field.one / c)
+        value = factors.pop()
+        for left in reversed(factors):
+            value = self.mul(left, value)
         return value
 
     def parse_factor(self):
+        cur = self.cur
         value, param_name = self.parse_atom()
-        if self.peek().kind != "^":
+        if cur.peek().kind != "^":
             return value
-        caret = self.take()
+        caret = cur.take()
         numer, denom = self._parse_exponent()
         if denom != 1:
             if param_name is None:
-                self.fail("fractional exponent on a non-parameter", caret)
+                cur.fail("fractional exponent on a non-parameter", caret)
             try:
                 scal = self.field.root_power(param_name, numer, denom)
             except ValueError as exc:
-                self.fail(str(exc), caret)
-            return {(): scal}
+                cur.fail(str(exc), caret)
+            return {self.one_key: scal}
         if numer < 0:
             c = self._as_scalar(value)
             if c is None:
-                self.fail("negative exponent on a non-scalar element", caret)
+                cur.fail("negative exponent on a non-scalar element", caret)
             if not c:
-                self.fail("negative power of zero", caret)
-            return {(): c ** numer}
-        out = {(): self.field.one}
+                cur.fail("negative power of zero", caret)
+            return {self.one_key: c ** numer}
+        out = {self.one_key: self.field.one}
         for _ in range(numer):
-            out = _free_mul(self.field, out, value)
+            out = self.mul(value, out)
         return out
 
     def parse_atom(self):
-        tok = self.peek()
+        cur = self.cur
+        tok = cur.peek()
         if tok.kind == "int":
-            self.take()
-            return {(): self.field.from_int(int(tok.text))}, None
+            cur.take()
+            return {self.one_key: self.field.from_int(int(tok.text))}, None
         if tok.kind == "name":
-            self.take()
-            if tok.text in self.var_index:
-                return {(self.var_index[tok.text],): self.field.one}, None
+            cur.take()
+            if tok.text in self.keys:
+                return {self.keys[tok.text]: self.field.one}, None
             if any(d.name == tok.text for d in self.field.params):
-                return {(): self.field.parameter(tok.text)}, tok.text
-            self.fail(f"unknown name {tok.text!r}", tok)
+                return {self.one_key: self.field.parameter(tok.text)}, tok.text
+            cur.fail(f"unknown name {tok.text!r}", tok)
         if tok.kind == "(":
-            self.take()
+            cur.take()
             value = self.parse_expr()
-            self.expect(")")
+            cur.expect(")")
             return value, None
-        self.fail(f"expected a value, found {tok.text or tok.kind!r}")
+        cur.fail(f"expected a value, found {tok.text or tok.kind!r}")
 
     def _parse_exponent(self):
-        tok = self.peek()
+        cur = self.cur
+        tok = cur.peek()
         if tok.kind == "int":
-            self.take()
+            cur.take()
             return int(tok.text), 1
         if tok.kind == "-":
-            self.take()
-            num = self.expect("int")
+            cur.take()
+            num = cur.expect("int")
             return -int(num.text), 1
         if tok.kind == "(":
-            self.take()
+            cur.take()
             sign = 1
-            if self.peek().kind == "-":
-                self.take()
+            if cur.peek().kind == "-":
+                cur.take()
                 sign = -1
-            num = self.expect("int")
+            num = cur.expect("int")
             denom = 1
-            if self.peek().kind == "/":
-                self.take()
-                denom = int(self.expect("int").text)
+            if cur.peek().kind == "/":
+                cur.take()
+                denom = int(cur.expect("int").text)
                 if denom == 0:
-                    self.fail("zero exponent denominator", num)
-            self.expect(")")
+                    cur.fail("zero exponent denominator", num)
+            cur.expect(")")
             return sign * int(num.text), denom
-        self.fail("malformed exponent")
+        cur.fail("malformed exponent")
 
     def _as_scalar(self, value):
+        """The scalar a value is, widened into the field; None if it is not."""
         if not value:
             return self.field.zero
-        if set(value) == {()}:
-            return value[()]
+        if len(value) == 1 and self.one_key in value:
+            return self.field.coerce(value[self.one_key])
         return None
 
 
@@ -450,125 +488,85 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     lexical, syntactic, or structural rejection — including relations that are
     not solvable into the canonical pair form.
     """
-    lines = text.splitlines() or [""]
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos]
-
-    def take():
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def fail(message, tok=None):
-        tok = tok or peek()
-        src = lines[tok.line - 1] if 0 < tok.line <= len(lines) else ""
-        raise PresentationError(message, tok.line, tok.col, src)
-
-    def expect(kind, what=""):
-        tok = peek()
-        if tok.kind != kind:
-            fail(what or f"expected {kind!r}, found {tok.text or tok.kind!r}")
-        return take()
-
-    def expect_keyword(word):
-        tok = peek()
-        if tok.kind != "name" or tok.text != word:
-            fail(f"expected {word!r}, found {tok.text or tok.kind!r}")
-        return take()
-
-    expect_keyword("algebra")
-    name_tok = expect("name", "expected an algebra name")
-    expect("{")
+    cur = _Cursor(text)
+    cur.expect_keyword("algebra")
+    name_tok = cur.expect("name", "expected an algebra name")
+    cur.expect("{")
 
     params: list = []
-    if peek().kind == "name" and peek().text == "params":
-        take()
-        expect(":")
+    if cur.at_keyword("params"):
+        cur.take()
+        cur.expect(":")
         while True:
-            ptok = expect("name", "expected a parameter name")
+            ptok = cur.expect("name", "expected a parameter name")
             invertible = False
             root = 1
-            while peek().kind == "name" and peek().text in ("inv", "root"):
-                mod = take()
+            while cur.at_keyword("inv") or cur.at_keyword("root"):
+                mod = cur.take()
                 if mod.text == "inv":
                     invertible = True
                 else:
-                    root = int(expect("int", "expected a root order").text)
+                    root = int(cur.expect("int", "expected a root order").text)
                     if root < 1:
-                        fail("root order must be >= 1", mod)
+                        cur.fail("root order must be >= 1", mod)
             try:
                 params.append(ParamDecl(ptok.text, invertible, root))
             except ValueError as exc:
-                fail(str(exc), ptok)
-            if peek().kind == ",":
-                take()
-                continue
-            break
-        expect(";")
+                cur.fail(str(exc), ptok)
+            if cur.peek().kind != ",":
+                break
+            cur.take()
+        cur.expect(";")
 
     try:
         field = ScalarField(tuple(params))
     except ValueError as exc:
-        fail(str(exc), name_tok)
+        cur.fail(str(exc), name_tok)
 
-    expect_keyword("vars")
-    expect(":")
+    cur.expect_keyword("vars")
+    cur.expect(":")
     gens: list = []
     while True:
-        vtok = expect("name", "expected a generator name")
+        vtok = cur.expect("name", "expected a generator name")
         if vtok.text in gens:
-            fail(f"duplicate generator {vtok.text!r}", vtok)
+            cur.fail(f"duplicate generator {vtok.text!r}", vtok)
         if any(d.name == vtok.text for d in params):
-            fail(f"generator {vtok.text!r} clashes with a parameter", vtok)
+            cur.fail(f"generator {vtok.text!r} clashes with a parameter", vtok)
         gens.append(vtok.text)
-        if peek().kind == ",":
-            take()
-            continue
-        break
-    expect(";")
-    var_index = {g: k for k, g in enumerate(gens)}
-    n = len(gens)
+        if cur.peek().kind != ",":
+            break
+        cur.take()
+    cur.expect(";")
 
+    words = {g: (k,) for k, g in enumerate(gens)}
+    expr = _ExprParser(cur, field, words, (), partial(_free_mul, field))
     relations: dict = {}
-    while peek().kind == "name" and peek().text == "rel":
-        rel_tok = take()
-        expect(":")
-        parser = _ExprParser(tokens, pos, field, var_index, lines)
-        lhs = parser.parse_expr()
-        pos = parser.pos
-        expect("=")
-        parser = _ExprParser(tokens, pos, field, var_index, lines)
-        rhs = parser.parse_expr()
-        pos = parser.pos
-        expect(";")
-        diff = _free_add(field, lhs, _free_scale(field, rhs, -field.one))
-        rel = _canonicalize_relation(field, n, diff, rel_tok, lines, gens)
+    while cur.at_keyword("rel"):
+        rel_tok = cur.take()
+        cur.expect(":")
+        lhs = expr.parse_expr()
+        cur.expect("=")
+        rhs = expr.parse_expr()
+        cur.expect(";")
+        diff = _add(field, lhs, _scale(rhs, -field.one))
+        rel = _canonicalize_relation(field, diff, gens, partial(cur.fail, tok=rel_tok))
         key = (rel.i, rel.j)
         if key in relations:
-            fail(
+            cur.fail(
                 f"pair ({gens[rel.i]}, {gens[rel.j]}) already constrained",
                 rel_tok,
             )
         relations[key] = rel
 
-    expect("}")
-    if peek().kind != "eof":
-        fail(f"unexpected {peek().text!r} after closing brace")
+    cur.expect("}")
+    if cur.peek().kind != "eof":
+        cur.fail(f"unexpected {cur.peek().text!r} after closing brace")
 
     return make_presentation(name_tok.text, field, tuple(gens), relations)
 
 
-def _canonicalize_relation(field, n, diff, rel_tok, lines, gens) -> Relation:
+def _canonicalize_relation(field, diff, gens, fail) -> Relation:
     """Solve lhs - rhs = 0 into xj*xi = c*xi*xj + linear + const."""
-
-    def fail(message):
-        src = lines[rel_tok.line - 1] if 0 < rel_tok.line <= len(lines) else ""
-        raise PresentationError(message, rel_tok.line, rel_tok.col, src)
-
     quad: dict = {}
     lin: dict = {}
     const = field.zero
@@ -601,7 +599,7 @@ def _canonicalize_relation(field, n, diff, rel_tok, lines, gens) -> Relation:
     c = -b / a
     if not c:
         fail(f"coefficient of {gens[i]}*{gens[j]} must be nonzero")
-    linear = tuple(-lin.get(k, field.zero) / a for k in range(n))
+    linear = tuple(-lin.get(k, field.zero) / a for k in range(len(gens)))
     e = -const / a
     return Relation(i, j, c, linear, e)
 
@@ -611,38 +609,34 @@ def _canonicalize_relation(field, n, diff, rel_tok, lines, gens) -> Relation:
 # ---------------------------------------------------------------------------
 
 
-def _parse_free(presentation: AlgebraPresentation, text: str) -> dict:
-    lines = text.splitlines() or [""]
-    tokens = _tokenize(text)
-    var_index = {g: k for k, g in enumerate(presentation.gens)}
-    parser = _ExprParser(tokens, 0, presentation.field, var_index, lines)
-    value = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        src = lines[tok.line - 1] if 0 < tok.line <= len(lines) else ""
-        raise PresentationError(
-            f"unexpected {tok.text!r} after expression", tok.line, tok.col, src
-        )
+def _evaluate(text: str, field, keys, one_key, mul) -> dict:
+    cur = _Cursor(text)
+    value = _ExprParser(cur, field, keys, one_key, mul).parse_expr()
+    if cur.peek().kind != "eof":
+        cur.fail(f"unexpected {cur.peek().text!r} after expression")
     return value
 
 
 def parse_element(presentation: AlgebraPresentation, text: str):
-    """Parse an element expression and return its normal form (NCPoly)."""
+    """Parse an element expression and return its normal form (NCPoly).
+
+    The text is evaluated straight in the ordered-monomial basis: each
+    product goes through the rewrite engine as soon as it is read, so the
+    work follows the size of normal forms, not of the free expansion.
+    Free-word input is `rewrite.free_to_normal_form`'s.
+    """
     from . import rewrite
 
-    free = _parse_free(presentation, text)
-    return rewrite.free_to_normal_form(presentation, free)
+    p = presentation
+    units = {g: tuple(int(m == k) for m in range(p.n)) for k, g in enumerate(p.gens)}
+    mul = rewrite._engine(p).product
+    return rewrite._widen(_evaluate(text, p.field, units, (0,) * p.n, mul))
 
 
 def parse_scalar(field: ScalarField, text: str) -> Scalar:
     """Parse a pure scalar expression (no generators)."""
-    dummy = AlgebraPresentation("_", field, (), {})
-    free = _parse_free(dummy, text)
-    if not free:
-        return field.zero
-    if set(free) != {()}:
-        raise PresentationError("expected a scalar, found generators")
-    return free[()]
+    value = _evaluate(text, field, {}, (), partial(_free_mul, field))
+    return value.get((), field.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,16 @@ def _accumulate(element, word, coeff):
         del element[word]
 
 
+def free_product(left, right):
+    """Product of two free-word combinations {word tuple: scalar}: every
+    pair of words concatenated, no rewriting."""
+    result = {}
+    for wa, ca in left.items():
+        for wb, cb in right.items():
+            _accumulate(result, wa + wb, ca * cb)
+    return result
+
+
 def rewrite_product(presentation, left, right):
     """Product of two normal-form maps, rewritten word by word."""
     field = presentation.field

@@ -375,3 +375,16 @@ def test_module_entry_point(files, package_env):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "validate"
+
+
+def test_nf_of_a_high_power_ends_in_bounded_time(files, package_env):
+    # the free expansion of (x1+x2+x3)^40 has 3^40 words; evaluated straight
+    # in normal form it has 12130 terms
+    proc = subprocess.run(
+        [sys.executable, "-m", "semigraded", "nf", files["dispin"],
+         "(x1+x2+x3)^40", "--format", "json"],
+        capture_output=True, text=True, env=package_env, timeout=30,
+    )
+    assert proc.returncode == 0
+    results = json.loads(proc.stdout)["results"]
+    assert (results["terms"], results["degree"]) == (12130, 40)

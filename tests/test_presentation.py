@@ -242,6 +242,37 @@ def test_parse_scalar_accepts_fractions_and_powers():
         parse_scalar(field, "x1 + q")
 
 
+EXPRESSION_ERRORS = [
+    # (text, message, caret column within the text)
+    ("x1/x2", "division by a non-scalar element", 3),
+    ("x1^-1", "negative exponent on a non-scalar element", 3),
+    ("0^-1", "negative power of zero", 2),
+    ("x1/0", "division by zero", 3),
+    ("x1^(1/2)", "fractional exponent on a non-parameter", 3),
+]
+
+
+def test_expression_errors_point_at_the_operator():
+    p = parse_presentation(DISPIN)
+    head = "algebra a {\n  vars: x1, x2;\n  rel: x2*x1 = "
+    offset = len(head.rsplit("\n", 1)[1])
+    for text, message, col in EXPRESSION_ERRORS + [
+        ("x1 x2", "unexpected 'x2' after expression", 4),
+    ]:
+        with pytest.raises(PresentationError) as excinfo:
+            parse_element(p, text)
+        err = excinfo.value
+        assert (err.message, err.line, err.col) == (message, 1, col), text
+        assert str(err).endswith("\n  " + text + "\n  " + " " * (col - 1) + "^")
+    for text, message, col in EXPRESSION_ERRORS + [
+        ("x1*x2 x1", "expected ';', found 'x1'", 7),
+    ]:
+        with pytest.raises(PresentationError) as excinfo:
+            parse_presentation(head + text + ";\n}")
+        err = excinfo.value
+        assert (err.message, err.line, err.col) == (message, 3, offset + col), text
+
+
 def test_duplicate_and_bad_generators_rejected():
     with pytest.raises(PresentationError):
         parse_presentation("algebra a { vars: x1, x1; }")

@@ -28,7 +28,7 @@ from semigraded.rewrite import (
 )
 from semigraded.scalars import ScalarField
 
-from oracles import rewrite_word, rewrite_product
+from oracles import free_product, rewrite_word, rewrite_product
 
 INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
@@ -243,6 +243,13 @@ def test_no_int_coefficient_leaves_the_engine():
         _assert_fraction_coefficients(
             free_to_normal_form(p, {(1, 0): Fraction(2), (1, 1, 0): Fraction(-1, 2)})
         )
+    # elements that become scalars only after rewriting: y1*x1 - x1*y1 = 1
+    p = parse_presentation((INPUTS / "weyl2.sgr").read_text())
+    for text, expected in (("x1/(y1*x1 - x1*y1)", variable(p, 0)),
+                           ("(y1*x1 - x1*y1)^-1", constant(p, 1))):
+        got = parse_element(p, text)
+        assert got == expected, text
+        _assert_fraction_coefficients(got)
 
 
 def test_products_against_word_oracle_over_mixed_rational_rules():
@@ -266,6 +273,38 @@ def test_products_against_word_oracle_over_mixed_rational_rules():
         _assert_fraction_coefficients(got)
 
 
+def _free(p, *terms):
+    """Free-word combination of (coefficient, letter names) pairs."""
+    return {
+        tuple(p.gens.index(g) for g in letters): p.field.coerce(c)
+        for c, letters in terms
+    }
+
+
+def _reference_inputs(p):
+    """(text, free-word expansion) pairs; the letters a, b, c stand for the
+    first three generators, as weyl2 has no x3."""
+    a, b, c = p.gens[:3]
+    total = _free(p, *((1, (g,)) for g in p.gens))
+    power = _free(p, (1, ()))
+    for k in range(1, 6):
+        power = free_product(total, power)
+        yield f"({' + '.join(p.gens)})^{k}", power
+    yield f"{c}*{b}*{a}", _free(p, (1, (c, b, a)))
+    linear = _free(p, (Fraction(1, 2), (a,)), (Fraction(-3, 7), (b,)), (1, (c,)))
+    power = _free(p, (1, ()))
+    for _ in range(4):
+        power = free_product(linear, power)
+    yield f"(1/2*{a} - 3/7*{b} + {c})^4", power
+    yield (
+        f"(2/3*{c}*{a} - 5)*({b}^2 + 1/4*{a})",
+        free_product(
+            _free(p, (Fraction(2, 3), (c, a)), (-5, ())),
+            _free(p, (1, (b, b)), (Fraction(1, 4), (a,))),
+        ),
+    )
+
+
 def test_nc_pow_is_the_right_associated_product():
     for path in sorted(INPUTS.glob("*.sgr")):
         p = parse_presentation(path.read_text())
@@ -277,9 +316,19 @@ def test_nc_pow_is_the_right_associated_product():
             got = nc_pow(p, x, k)
             assert got == expected, (path.name, k)
             assert all(type(c) is type(p.field.one) for c in got.terms.values())
+        # element text evaluates straight in normal form; the free-word
+        # expansion rewritten word by word is the reference
+        for text, free in _reference_inputs(p):
+            got = parse_element(p, text)
+            assert got == free_to_normal_form(p, free), (path.name, text)
+            assert all(type(c) is type(p.field.one) for c in got.terms.values())
     # where overlaps fail, the two associations differ from k = 3 on and
     # neither is an answer; nc_pow multiplies on the left
     p = parse_presentation(DISPIN.replace("x2*x3 - x3", "x2*x3 - x3 + 1"))
     x = parse_element(p, "x1 + x2 + x3")
     assert nc_pow(p, x, 3) == nc_mul(p, x, nc_mul(p, x, x))
     assert nc_pow(p, x, 3) != nc_mul(p, nc_mul(p, x, x), x)
+    # there, powers of letter sums and x3*x2*x1 still rewrite as their words
+    # do; a product of parenthesized non-linear factors may not
+    for text, free in list(_reference_inputs(p))[:6]:
+        assert parse_element(p, text) == free_to_normal_form(p, free), text
