@@ -10,11 +10,13 @@ homogeneous components — the finite-window version of the semi-graded
 submodule criterion.  ``tests/oracles.py`` checks the counts and the window
 bases against brute-force generation; nothing re-derives them at runtime.
 
-Linear algebra runs over exact rationals after the parameters have been
+Linear algebra is exact over Q after the parameters have been
 specialized; the resulting subspace records which specialization was used.
 All of it goes through one sparse echelon pivoting on a row's leading
-monomial.  A reduced row echelon form is unique for a fixed column order, so
-ranks, pivots and witnesses are reproducible byte for byte.
+monomial, which keeps primitive integer rows, eliminates fraction-free and
+divides by the pivots only when it hands out the reduced rows.  A reduced
+row echelon form is unique for a fixed column order, so ranks, pivots and
+witnesses are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .presentation import AlgebraPresentation, format_monomial, specialize_presentation
@@ -147,16 +149,21 @@ def filtration_window(presentation: AlgebraPresentation, d: int) -> FiltrationWi
 
 
 # ---------------------------------------------------------------------------
-# row reduction over exact rationals
+# row reduction over the integers
 # ---------------------------------------------------------------------------
 
 
 class Echelon:
-    """A row space as sparse rows ``{column: scalar}`` in echelon form.
+    """A row space as sparse primitive integer rows ``{column: int}``.
 
     ``pivots`` maps each row's lowest column (in a window's descending-deglex
-    order, its leading monomial) to the row, normalized to 1 there.  Rows are
-    only lead-reduced; :meth:`rref` back-substitutes fully.
+    order, its leading monomial) to the row.  A stored row has entries with
+    gcd 1 and a positive lead; rational input is cleared by the lcm of its
+    denominators on the way in.  Elimination is fraction-free,
+    ``h * row - a * pivot``, and every division (by a row's content, by its
+    lead at the output) is exact, as in E. Bareiss, Math. Comp. 22, 1968.
+    Rows are only lead-reduced; :meth:`rref` back-substitutes fully and
+    divides by the leads once, at the output.
     """
 
     def __init__(self, rows: Iterable[Mapping[int, Fraction]] = ()) -> None:
@@ -165,18 +172,20 @@ class Echelon:
             self.insert(row)
 
     def reduce(self, row: Mapping[int, Fraction]) -> dict:
-        """Eliminate the lead of ``row`` until it is not a pivot; returns the rest.
+        """Eliminate the lead of ``row`` until it is not a pivot; returns the
+        rest as integers, a multiple of the exact remainder.
 
         The lead is looked up afresh after every subtraction, because a
         pivot row can bring in columns the input did not have.
         """
-        row = dict(row)
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
         while row:
             lead = min(row)
             hit = self.pivots.get(lead)
             if hit is None:
                 break
-            _subtract(row, row[lead], hit)
+            _eliminate(row, row[lead], hit, hit[lead])
         return row
 
     def insert(self, row: Mapping[int, Fraction]) -> Optional[dict]:
@@ -185,9 +194,7 @@ class Echelon:
         if not row:
             return None
         lead = min(row)
-        head = row[lead]
-        if head != 1:
-            row = {c: x / head for c, x in row.items()}
+        row = _primitive(row, row[lead])
         self.pivots[lead] = row
         return row
 
@@ -195,26 +202,53 @@ class Echelon:
         return not self.reduce(row)
 
     def rref(self) -> list[dict]:
-        """The reduced rows in increasing pivot order.
+        """The reduced rows in increasing pivot order, pivots normalized to 1.
 
-        Rows are back-substituted from the highest pivot down, so every row
-        subtracted is already free of the other pivots.
+        Rows are back-substituted in integers from the highest pivot down, so
+        every row subtracted is already free of the other pivots; each stays
+        primitive, and is divided by its lead only in the rows returned.
         """
-        for lead in sorted(self.pivots, reverse=True):
-            row = self.pivots[lead]
-            for col in [c for c in row if c != lead and c in self.pivots]:
-                _subtract(row, row[col], self.pivots[col])
-        return [self.pivots[lead] for lead in sorted(self.pivots)]
+        pivots = self.pivots
+        for lead in sorted(pivots, reverse=True):
+            row = pivots[lead]
+            cols = [c for c in row if c != lead and c in pivots]
+            for col in cols:
+                other = pivots[col]
+                _eliminate(row, row[col], other, other[col])
+            if cols:
+                pivots[lead] = _primitive(row, row[lead])
+        return [
+            {c: Fraction(x, row[lead]) for c, x in row.items()}
+            for lead, row in sorted(pivots.items())
+        ]
 
 
-def _subtract(row: dict, factor: Fraction, other: Mapping[int, Fraction]) -> None:
-    """``row -= factor * other`` in place, dropping entries that cancel."""
+def _eliminate(row: dict, a: int, other: Mapping[int, int], h: int) -> None:
+    """``row = h * row - a * other`` in place, with ``a / h`` in lowest terms
+    (``h > 0``), dropping entries that cancel."""
+    g = gcd(a, h)
+    if g != 1:
+        a //= g
+        h //= g
+    if h != 1:
+        for c in row:
+            row[c] *= h
     for c, x in other.items():
-        value = row.get(c, 0) - factor * x
+        value = row.get(c, 0) - a * x
         if value:
             row[c] = value
         else:
             del row[c]
+
+
+def _primitive(row: dict, lead: int) -> dict:
+    """``row`` divided by the gcd of its entries, signed so the lead is positive."""
+    g = gcd(*row.values())
+    if lead < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {c: x // g for c, x in row.items()}
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -24,7 +24,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .grading import Echelon, degree_count, filtration_window
 from .presentation import AlgebraPresentation, specialize_presentation
-from .rewrite import NCPoly, nc_mul
+from . import rewrite
+from .rewrite import NCPoly
 from .scalars import SpecializationError
 
 __all__ = [
@@ -370,7 +371,10 @@ def _span_growth(
 
     Rows are held in one echelon over the columns of F_{degree * k_max}; each
     round multiplies the frame into the rows added last round (earlier rows
-    were already absorbed).  The RREF for that window's column order is
+    were already absorbed).  The echelon's rows are primitive integer rows,
+    and the engine's product of a frame element with one comes back as
+    integer numerators over a denominator, which is dropped: a row's scale
+    does not change its span.  The RREF for that window's column order is
     unique, so every rank is exact whatever order rows were reduced in.
     """
     ambient = comb(spec_pres.n + degree * k_max, spec_pres.n)
@@ -381,12 +385,13 @@ def _span_growth(
             "spans a full filtration window, which has a closed form"
         )
     window = filtration_window(spec_pres, degree * k_max)
+    product = rewrite._engine(spec_pres).product
     echelon = Echelon()
 
-    def insert(poly: NCPoly) -> Optional[dict]:
-        return echelon.insert({window.index_of(e): c for e, c in poly.terms.items()})
+    def insert(terms: dict) -> Optional[dict]:
+        return echelon.insert({window.index_of(e): c for e, c in terms.items()})
 
-    frontier = [row for row in map(insert, basis) if row is not None]
+    frontier = [row for row in (insert(b.terms) for b in basis) if row is not None]
     dims = {1: len(echelon.pivots)}
     for k in range(2, k_max + 1):
         fresh: list[dict] = []
@@ -394,8 +399,8 @@ def _span_growth(
             if b.degree() == 0:
                 continue
             for row in frontier:
-                element = NCPoly({window.basis[c]: x for c, x in row.items()})
-                added = insert(nc_mul(spec_pres, b, element))
+                element = {window.basis[c]: x for c, x in row.items()}
+                added = insert(product(b.terms, element)[0])
                 if added is not None:
                     fresh.append(added)
         frontier = fresh

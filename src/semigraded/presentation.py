@@ -390,7 +390,9 @@ class _ExprParser:
             factors[-1] = _scale(factors[-1], self.field.one / c)
         value = factors.pop()
         for left in reversed(factors):
-            value = self.mul(left, value)
+            # a scalar factor scales; multiplying by it would rewrite for nothing
+            c = self._as_scalar(left)
+            value = self.mul(left, value) if c is None else _scale(value, c)
         return value
 
     def parse_factor(self):
@@ -629,8 +631,9 @@ def parse_element(presentation: AlgebraPresentation, text: str):
 
     p = presentation
     units = {g: tuple(int(m == k) for m in range(p.n)) for k, g in enumerate(p.gens)}
-    mul = rewrite._engine(p).product
-    return rewrite._widen(_evaluate(text, p.field, units, (0,) * p.n, mul))
+    mul = rewrite._engine(p).mixed_product
+    value = _evaluate(text, p.field, units, (0,) * p.n, mul)
+    return rewrite.NCPoly(rewrite._widen(value))
 
 
 def parse_scalar(field: ScalarField, text: str) -> Scalar:

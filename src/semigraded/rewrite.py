@@ -11,12 +11,14 @@ The worker is ``x_i * (ordered monomial)``; its results are memoized per
 presentation, as are full monomial-pair products, so repeated multiplications
 over the same presentation stay cheap.
 
-Over Q the engine computes in Python ``int`` wherever a coefficient is
-integral: rule coefficients and inputs are narrowed on the way in, so the
-memo tables hold ints for integral coefficients, and non-integral ones mix in
-as ``Fraction`` through the numeric tower.  Every result is widened back to
-``Fraction`` before it leaves the engine, so callers only ever see field
-elements.
+Over Q the engine computes in Python ``int`` only: rules and inputs enter
+as integer numerators over one denominator, and each memo entry holds
+integer numerators over one positive denominator, reduced so that the two
+are coprime.  Parts with different denominators are brought to their lcm
+by one scale factor per part, never per term.  Every result is divided
+out into ``Fraction`` once, when it leaves the engine, so callers only ever
+see field elements.  Over Q(params) the coefficients are the field's own
+scalars over denominator 1.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from math import gcd, lcm
+from typing import Mapping
 
 from .presentation import AlgebraPresentation, format_element
 
@@ -150,39 +153,69 @@ def monomial(presentation: AlgebraPresentation, exponents, coeff=None) -> NCPoly
 # ---------------------------------------------------------------------------
 
 
-def _narrow(c):
-    """An integral ``Fraction`` as its ``int``; any other scalar unchanged."""
-    if type(c) is Fraction and c.denominator == 1:
-        return c.numerator
-    return c
+def _cleared(terms: Mapping) -> tuple[dict, int]:
+    """Rational coefficients as integer numerators over their least common
+    denominator: ``(numerators, denominator)``."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        return {exp: c.numerator for exp, c in terms.items()}, 1
+    return {exp: c.numerator * (den // c.denominator) for exp, c in terms.items()}, den
 
 
-def _widen(terms: dict) -> NCPoly:
-    """Wrap a fresh engine result, turning its ``int`` coefficients back
-    into ``Fraction`` so that no ``int`` leaves the engine."""
-    for exp, c in terms.items():
-        if type(c) is int:
-            terms[exp] = Fraction(c)
-    return NCPoly(terms)
+def _split(value) -> tuple[dict, int]:
+    """An engine value as ``(numerators, denominator)``."""
+    return value if type(value) is tuple else (value, 1)
+
+
+def _widen(value) -> dict:
+    """Divide a fresh engine value's ``int`` numerators by its denominator,
+    as ``Fraction``, so that no ``int`` leaves the engine."""
+    terms, den = _split(value)
+    if den == 1:
+        for exp, c in terms.items():
+            if type(c) is int:
+                terms[exp] = Fraction(c)
+    else:
+        for exp, c in terms.items():
+            terms[exp] = Fraction(c, den)
+    return terms
 
 
 class _Engine:
+    """Memoized products over one presentation.
+
+    An engine value is a dict of numerators whose denominator is 1, or a
+    pair ``(numerators, den)`` with an ``int`` ``den > 1`` coprime to them;
+    the bare dict adds no object per memo entry where none is needed.  Over
+    Q the numerators are ``int``; over Q(params) they are field elements.
+    A memo entry gets a denominator other than 1 only from a rule with one,
+    so an ``integral`` engine (every rule over denominator 1, as every
+    parametric one is) holds bare dicts only and runs the plain loops.
+    """
+
     def __init__(self, presentation: AlgebraPresentation) -> None:
         p = presentation
         self.n = p.n
-        self.one = _narrow(p.field.one)
+        self.rational = not p.field.params
+        self.one = 1 if self.rational else p.field.one
         self.rules = {}
         for (i, j), rel in p.relations.items():
-            sparse = tuple((k, _narrow(s)) for k, s in enumerate(rel.linear) if s)
+            values = (rel.c, *rel.linear, rel.constant)
+            den = 1
+            if self.rational:
+                den = lcm(*(v.denominator for v in values))
+                values = tuple(v.numerator * (den // v.denominator) for v in values)
+            sparse = tuple((k, s) for k, s in enumerate(values[1:-1]) if s)
             self.rules[(i, j)] = (
-                _narrow(rel.c), sparse, _narrow(rel.constant), rel.is_default(p.field)
+                values[0], sparse, values[-1], den, rel.is_default(p.field)
             )
+        self.integral = all(rule[3] == 1 for rule in self.rules.values())
         self._var: dict = {}
         self._pair: dict = {}
 
     # x_index * (ordered monomial) in normal form.  Cached results are
     # immutable; all accumulation happens in fresh dicts.
-    def var_times_monomial(self, index: int, beta: tuple) -> dict:
+    def var_times_monomial(self, index: int, beta: tuple):
         key = (index, beta)
         cached = self._var.get(key)
         if cached is not None:
@@ -202,11 +235,11 @@ class _Engine:
         shrunk = list(beta)
         shrunk[j] -= 1
         beta1 = tuple(shrunk)
-        c, linear, const, default = self.rules[(j, index)]
+        c, linear, const, den, default = self.rules[(j, index)]
         tail = self.var_times_monomial(index, beta1)
         if default:
             result = self.var_times_poly(j, tail)
-        else:
+        elif self.integral:
             out: dict = {}
             for exp, cf in self.var_times_poly(j, tail).items():
                 _acc(out, exp, c * cf)
@@ -216,17 +249,29 @@ class _Engine:
             if const:
                 _acc(out, beta1, const)
             result = out
+        else:
+            parts = [(c, self.var_times_poly(j, tail))]
+            for k, d in linear:
+                parts.append((d, self.var_times_monomial(k, beta1)))
+            result = _value(*_sum_over(parts, den, beta1 if const else None, const))
         self._var[key] = result
         return result
 
-    def var_times_poly(self, index: int, terms: Mapping) -> dict:
-        out: dict = {}
+    def var_times_poly(self, index: int, value):
+        """``x_index * value`` as an engine value."""
+        if self.integral:
+            out: dict = {}
+            for exp, cf in value.items():
+                for exp2, c2 in self.var_times_monomial(index, exp).items():
+                    _acc(out, exp2, cf * c2)
+            return out
+        terms, den = _split(value)
+        parts = []
         for exp, cf in terms.items():
-            for exp2, c2 in self.var_times_monomial(index, exp).items():
-                _acc(out, exp2, cf * c2)
-        return out
+            parts.append((cf, self.var_times_monomial(index, exp)))
+        return _value(*_sum_over(parts, den))
 
-    def monomial_product(self, alpha: tuple, beta: tuple) -> dict:
+    def monomial_product(self, alpha: tuple, beta: tuple):
         key = (alpha, beta)
         cached = self._pair.get(key)
         if cached is not None:
@@ -238,22 +283,86 @@ class _Engine:
         self._pair[key] = result
         return result
 
-    def product(self, p_terms: Mapping, q_terms: Mapping) -> dict:
-        out: dict = {}
-        q_items = [(beta, _narrow(cb)) for beta, cb in q_terms.items()]
-        for alpha, ca in p_terms.items():
-            ca = _narrow(ca)
-            for beta, cb in q_items:
-                cab = ca * cb
-                for gamma, cg in self.monomial_product(alpha, beta).items():
-                    _acc(out, gamma, cab * cg)
-        return out
+    def product(self, p_terms: Mapping, q_terms: Mapping) -> tuple[dict, int]:
+        """Normal form of ``p * q`` as ``(numerators, den)``, not always
+        reduced.
 
-    def word_normal_form(self, word: tuple) -> dict:
+        Over Q the inputs' rational coefficients are cleared to integers
+        first; over Q(params) they pass through with denominator 1.
+        """
+        pd = qd = 1
+        if self.rational:
+            p_terms, pd = _cleared(p_terms)
+            q_terms, qd = _cleared(q_terms)
+        q_items = list(q_terms.items())
+        if self.integral:
+            out: dict = {}
+            for alpha, ca in p_terms.items():
+                for beta, cb in q_items:
+                    cab = ca * cb
+                    for gamma, cg in self.monomial_product(alpha, beta).items():
+                        _acc(out, gamma, cab * cg)
+            return out, pd * qd
+        parts = []
+        for alpha, ca in p_terms.items():
+            for beta, cb in q_items:
+                parts.append((ca * cb, self.monomial_product(alpha, beta)))
+        return _sum_over(parts, pd * qd)
+
+    def mixed_product(self, p_terms: Mapping, q_terms: Mapping) -> dict:
+        """``p * q`` for the element parser: ``int`` numerators where the
+        denominator is 1, ``Fraction`` otherwise.  The two mix through the
+        numeric tower, and the parser widens once, at the end."""
+        terms, den = self.product(p_terms, q_terms)
+        return terms if den == 1 else _widen((terms, den))
+
+    def word_normal_form(self, word: tuple):
         result = {(0,) * self.n: self.one}
         for letter in reversed(word):
             result = self.var_times_poly(letter, result)
         return result
+
+
+def _sum_over(parts: list, den: int, at=None, const=None) -> tuple[dict, int]:
+    """``(sum(f * value for f, value in parts) + const * at) / den`` as
+    ``(numerators, denominator)``, reduced.
+
+    The sum runs over the lcm of the values' denominators, each value
+    scaled once; ``at`` is the monomial carrying the constant, if any.
+    """
+    common = 1
+    for _, value in parts:
+        if type(value) is tuple and common % value[1]:
+            common = lcm(common, value[1])
+    out: dict = {}
+    for f, terms in parts:
+        if type(terms) is tuple:
+            terms, d = terms
+            if d != common:
+                f = f * (common // d)
+        elif common != 1:
+            f = f * common
+        for exp, c in terms.items():
+            _acc(out, exp, f * c)
+    if at is not None:
+        _acc(out, at, const if common == 1 else const * common)
+    return _reduced(out, den * common)
+
+
+def _value(terms: dict, den: int):
+    """``(numerators, den)`` as an engine value: the bare dict when den is 1."""
+    return terms if den == 1 else (terms, den)
+
+
+def _reduced(terms: dict, den: int) -> tuple[dict, int]:
+    """``terms / den`` with the common factor of numerators and denominator
+    divided out, so that the denominator is coprime to the numerators."""
+    if den == 1:
+        return terms, 1
+    g = gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {exp: c // g for exp, c in terms.items()}, den // g
 
 
 def _acc(out: dict, exp: tuple, val) -> None:
@@ -280,7 +389,7 @@ def _engine(presentation: AlgebraPresentation) -> _Engine:
 
 def nc_mul(presentation: AlgebraPresentation, p: NCPoly, q: NCPoly) -> NCPoly:
     """Product in normal form.  deg(pq) <= deg(p) + deg(q)."""
-    return _widen(_engine(presentation).product(p.terms, q.terms))
+    return NCPoly(_widen(_engine(presentation).product(p.terms, q.terms)))
 
 
 def nc_pow(presentation: AlgebraPresentation, p: NCPoly, k: int) -> NCPoly:
@@ -297,12 +406,13 @@ def nc_pow(presentation: AlgebraPresentation, p: NCPoly, k: int) -> NCPoly:
 def free_to_normal_form(presentation: AlgebraPresentation, free: Mapping) -> NCPoly:
     """Normal form of a free-word combination {word tuple: scalar}."""
     eng = _engine(presentation)
-    out: dict = {}
+    den = 1
+    if eng.rational:
+        free, den = _cleared(free)
+    parts = []
     for word, coeff in free.items():
-        coeff = _narrow(coeff)
-        for exp, c in eng.word_normal_form(word).items():
-            _acc(out, exp, coeff * c)
-    return _widen(out)
+        parts.append((coeff, eng.word_normal_form(word)))
+    return NCPoly(_widen(_sum_over(parts, den)))
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ class ScalarField:
     """Q(p_1, ..., p_m) with exact canonical-fraction arithmetic.
 
     With no parameters the elements are plain ``Fraction`` (the rewriting
-    engine narrows integral ones to ``int`` only inside its memo tables);
+    engine and the window echelon work on integer numerators inside);
     otherwise they are :class:`ParamScalar` Laurent fractions of sparse
     integer polynomials in the root indeterminates.  Every parametric result
     passes through :meth:`normalize`.

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from semigraded.grading import (
+    Echelon,
     degree_count,
     filtration_window,
     homogeneous_components,
@@ -132,6 +133,45 @@ def test_rref_matches_oracle_on_random_matrices():
         assert len(got_pivots) < 30
         assert got_pivots == want_pivots
         assert got_rows == want_rows
+    # large rationals: numerators up to 10^12 over denominators up to 10^6,
+    # so clearing denominators and fraction-free elimination see big ints
+    for _ in range(10):
+        width = rng.randrange(2, 9)
+        rows = [
+            [Fraction(rng.randrange(-10**12, 10**12 + 1), rng.randrange(1, 10**6 + 1))
+             if rng.random() < 0.6 else Fraction(0) for _ in range(width)]
+            for _ in range(rng.randrange(1, 8))
+        ]
+        rows.append([x / 7 - y * Fraction(3, 10**6) for x, y in zip(rows[0], rows[-1])])
+        rng.shuffle(rows)
+        got_rows, got_pivots = rref([list(r) for r in rows])
+        want_rows, want_pivots = rref_oracle(rows)
+        assert got_pivots == want_pivots
+        assert got_rows == want_rows
+
+
+def _assert_primitive(echelon):
+    for lead, row in echelon.pivots.items():
+        assert lead == min(row)
+        assert all(type(x) is int for x in row.values()), row
+        assert row[lead] > 0, row
+        assert gcd(*row.values()) == 1, row
+
+
+def test_echelon_stores_primitive_integer_rows():
+    rng = random.Random(23)
+    for _ in range(20):
+        echelon = Echelon()
+        for _ in range(12):
+            echelon.insert({
+                col: Fraction(rng.randrange(-60, 61) or 1, rng.randrange(1, 13))
+                for col in rng.sample(range(15), rng.randrange(1, 6))
+            })
+            _assert_primitive(echelon)
+        reduced = echelon.rref()
+        _assert_primitive(echelon)
+        assert all(row[min(row)] == 1 for row in reduced)
+        assert all(type(x) is Fraction for row in reduced for x in row.values())
 
 
 def test_left_ideal_window_monomial_ideal():

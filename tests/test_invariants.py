@@ -2,7 +2,9 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -16,10 +18,16 @@ from semigraded.invariants import (
     hilbert_series,
     sample_points,
 )
-from semigraded.presentation import make_presentation, parse_element, parse_presentation
+from semigraded.grading import filtration_window
+from semigraded.presentation import (
+    make_presentation,
+    parse_element,
+    parse_presentation,
+    specialize_presentation,
+)
 from semigraded.scalars import ScalarField, SpecializationError
 
-from oracles import evaluate_poly, gp_coefficients, series_coefficients
+from oracles import evaluate_poly, gp_coefficients, rewrite_word, rref, series_coefficients
 
 DISPIN = """
 algebra dispin {
@@ -39,6 +47,8 @@ algebra woronowicz {
   rel: x3*x2 = nu^4*x2*x3 + (1 + nu^2)*x2;
 }
 """
+
+USO3 = (Path(__file__).resolve().parent.parent / "bench" / "inputs" / "uso3.sgr").read_text()
 
 
 def free_algebra(n):
@@ -185,6 +195,35 @@ def test_span_growth_frame_dims_frozen():
     assert est.dims == (14, 30, 55, 91, 140, 204, 285)
     default = ggk_estimate(p, k_max=8)
     assert abs(est.estimate - default.estimate) < 0.16
+
+
+def test_span_growth_over_fractional_rules_against_rref_oracle():
+    # uso3 specializes to rules over 9 and 3, so the engine and the echelon
+    # both carry denominators.  The frame is {1, a, b} for two generators;
+    # a word in it with a 1 is a shorter word in a and b, so f(k) is the
+    # rank of the normal forms of the words of length <= k in a and b.
+    p = parse_presentation(USO3)
+    spec, _ = specialize_presentation(p)
+    for letters in ((0, 1), (0, 2)):
+        frame = Frame(tuple(
+            parse_element(p, text) for text in ("1",) + tuple(p.gens[i] for i in letters)
+        ))
+        est = ggk_estimate(p, frame=frame, k_max=8)
+        assert est.method == "span_growth"
+        got = dict(zip(est.sample_points, est.dims))
+        for k in range(2, 7):
+            window = filtration_window(spec, k)
+            rows = set()
+            for length in range(k + 1):
+                for word in product(letters, repeat=length):
+                    row = [Fraction(0)] * window.dimension
+                    for exp, c in rewrite_word(spec, word).items():
+                        row[window.index_of(exp)] = c
+                    rows.add(tuple(row))
+            _, pivots = rref(sorted(rows))
+            assert got[k] == len(pivots), (letters, k)
+        est = ggk_estimate(p, frame=frame, k_max=12)
+        assert est.dims == (13, 34, 50, 70, 125, 203, 252)
 
 
 def test_span_growth_tracks_default_at_k12():

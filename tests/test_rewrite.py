@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from semigraded.presentation import (
 )
 from semigraded.rewrite import (
     NCPoly,
+    _engine,
     check_pbw,
     constant,
     free_to_normal_form,
@@ -271,6 +273,37 @@ def test_products_against_word_oracle_over_mixed_rational_rules():
         got = nc_mul(p, a, b)
         assert got.terms == rewrite_product(p, a.terms, b.terms)
         _assert_fraction_coefficients(got)
+
+
+def test_engine_memo_holds_reduced_integer_fractions():
+    # uso3 at its default point has rules over 9 and 3; every memo value is
+    # int numerators over one positive denominator coprime to them
+    p, _ = specialize_presentation(parse_presentation(USO3))
+    x = parse_element(p, "x1 + 1/2*x2 - x3 + 3")
+    nc_pow(p, x, 5)
+    nc_mul(p, parse_element(p, "x3^4*x2"), parse_element(p, "x2^3*x1^2"))
+    eng = _engine(p)
+    values = list(eng._var.values()) + list(eng._pair.values())
+    assert any(type(v) is tuple for v in values)
+    for value in values:
+        terms, den = value if type(value) is tuple else (value, 1)
+        assert type(den) is int and den >= 1
+        assert den == 1 or type(value) is tuple and den > 1
+        assert all(type(c) is int for c in terms.values()), value
+        assert gcd(den, *terms.values()) == 1, value
+
+
+def test_scalar_factors_scale_without_rewriting():
+    text = (INPUTS / "enveloping3.sgr").read_text()
+    elements = {}
+    for source in ("1/2*(x1+x2+x3)^8", "(x1+x2+x3)^8", "(x1+x2+x3)^8/2"):
+        p = parse_presentation(text)
+        elements[source] = parse_element(p, source)
+        # a scalar factor on the left adds no (monomial, 1) product entries
+        assert len(_engine(p)._pair) == 360, source
+    half = elements["1/2*(x1+x2+x3)^8"]
+    assert half == elements["(x1+x2+x3)^8/2"]
+    assert half == nc_scale(elements["(x1+x2+x3)^8"], Fraction(1, 2))
 
 
 def _free(p, *terms):
