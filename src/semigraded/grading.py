@@ -21,14 +21,15 @@ witnesses are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .presentation import AlgebraPresentation, format_monomial, specialize_presentation
-from .rewrite import NCPoly, monomial, nc_mul
+from . import rewrite
+from .rewrite import NCPoly
 from .scalars import ScalarField
 
 __all__ = [
@@ -162,8 +163,8 @@ class Echelon:
     denominators on the way in.  Elimination is fraction-free,
     ``h * row - a * pivot``, and every division (by a row's content, by its
     lead at the output) is exact, as in E. Bareiss, Math. Comp. 22, 1968.
-    Rows are only lead-reduced; :meth:`rref` back-substitutes fully and
-    divides by the leads once, at the output.
+    Rows are only lead-reduced until :meth:`back_substitute`; :meth:`rref`
+    back-substitutes and divides by the leads once, at the output.
     """
 
     def __init__(self, rows: Iterable[Mapping[int, Fraction]] = ()) -> None:
@@ -201,12 +202,12 @@ class Echelon:
     def contains(self, row: Mapping[int, Fraction]) -> bool:
         return not self.reduce(row)
 
-    def rref(self) -> list[dict]:
-        """The reduced rows in increasing pivot order, pivots normalized to 1.
+    def back_substitute(self) -> None:
+        """Clear every pivot column from the other rows, in integers.
 
-        Rows are back-substituted in integers from the highest pivot down, so
-        every row subtracted is already free of the other pivots; each stays
-        primitive, and is divided by its lead only in the rows returned.
+        Rows are reduced from the highest pivot down, so every row
+        subtracted is already free of the other pivots; each stays
+        primitive, and afterwards is a multiple of its reduced row.
         """
         pivots = self.pivots
         for lead in sorted(pivots, reverse=True):
@@ -217,6 +218,11 @@ class Echelon:
                 _eliminate(row, row[col], other, other[col])
             if cols:
                 pivots[lead] = _primitive(row, row[lead])
+
+    def rref(self) -> list[dict]:
+        """The reduced rows in increasing pivot order, pivots normalized to 1."""
+        self.back_substitute()
+        pivots = self.pivots
         return [
             {c: Fraction(x, row[lead]) for c, x in row.items()}
             for lead, row in sorted(pivots.items())
@@ -261,30 +267,39 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """
     ncols = len(rows[0]) if rows else 0
     reduced = Echelon({c: x for c, x in enumerate(row) if x} for row in rows).rref()
+    return _dense(reduced, ncols), [min(row) for row in reduced]
+
+
+def _dense(reduced: list[dict], ncols: int) -> list[list[Fraction]]:
     zero = Fraction(0)
-    dense = [[row.get(c, zero) for c in range(ncols)] for row in reduced]
-    return dense, [min(row) for row in reduced]
+    return [[row.get(c, zero) for c in range(ncols)] for row in reduced]
 
 
 @dataclass
 class WindowSubspace:
     """A subspace of a filtration window in reduced row echelon form.
 
-    ``rows`` hold exact rational coordinates relative to ``window.basis``;
-    pivot columns are strictly increasing and the rank equals the row count.
-    ``specialization`` records the parameter assignment under which the
-    coordinates were computed (values apply to the declared root of each
-    parameter).
+    ``echelon`` holds it as back-substituted primitive integer rows, one
+    per pivot column; ``pivots`` lists those columns in increasing order,
+    and the rank is their count.  ``rows``, computed on first use, are the
+    dense reduced rows: exact rational coordinates relative to
+    ``window.basis``, pivots normalized to 1.  ``specialization`` records
+    the parameter assignment under which the coordinates were computed
+    (values apply to the declared root of each parameter).
     """
 
     window: FiltrationWindow
     specialization: dict
-    rows: list
     pivots: list
+    echelon: Echelon = dc_field(repr=False, compare=False)
+
+    @cached_property
+    def rows(self) -> list[list[Fraction]]:
+        return _dense(self.echelon.rref(), self.window.dimension)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def pivot_monomials(self) -> list[str]:
         return [
@@ -294,11 +309,7 @@ class WindowSubspace:
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
         """Whether ``vector`` lies in the row space."""
-        return self._echelon.contains({c: x for c, x in enumerate(vector) if x})
-
-    @cached_property
-    def _echelon(self) -> Echelon:
-        return Echelon({c: x for c, x in enumerate(row) if x} for row in self.rows)
+        return self.echelon.contains({c: x for c, x in enumerate(vector) if x})
 
     def to_dict(self) -> dict:
         return {
@@ -323,29 +334,33 @@ def left_ideal_window(
     degree fits in the window, with parameters specialized to exact
     rationals first.  This is a lower approximation of the true ideal
     intersected with F_d, and its rank is monotone nondecreasing in ``d``.
+    Each product is taken on the rewrite engine's packed monomials and
+    enters one echelon as an integer row keyed by column; a row's scale
+    does not change its span, so the product's denominator is dropped.
     """
     spec_pres, full = specialize_presentation(presentation, specialization)
     window = filtration_window(spec_pres, d)
+    eng = rewrite._engine(spec_pres)
+    packed = [eng.key(exp) for exp in window.basis]
+    column = {m: c for c, m in enumerate(packed)}
     field = presentation.field
-    raw_rows: list[list[Fraction]] = []
+    echelon = Echelon()
     for gen in generators:
         spec_gen = NCPoly(
             {exp: field.evaluate(coeff, full) for exp, coeff in gen.terms.items()}
         )
         if not spec_gen:
             continue
-        gen_degree = spec_gen.degree()
-        budget = d - gen_degree
+        budget = d - spec_gen.degree()
         if budget < 0:
             continue
-        for mu in (exp for exp in window.basis if sum(exp) <= budget):
-            product = nc_mul(spec_pres, monomial(spec_pres, mu), spec_gen)
-            row = [Fraction(0)] * window.dimension
-            for exp, coeff in product.terms.items():
-                row[window.index_of(exp)] = coeff
-            raw_rows.append(row)
-    rows, pivots = rref(raw_rows)
-    return WindowSubspace(window, dict(full), rows, pivots)
+        g_terms = eng.pack(spec_gen.terms)[0]
+        for exp, mu in zip(window.basis, packed):
+            if sum(exp) <= budget:
+                terms = eng.product({mu: 1}, g_terms)[0]
+                echelon.insert({column[m]: x for m, x in terms.items()})
+    echelon.back_substitute()
+    return WindowSubspace(window, dict(full), sorted(echelon.pivots), echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -381,25 +396,34 @@ def is_semigraded_window(ws: WindowSubspace) -> SemigradedReport:
 
     Checks each reduced row: its coordinates are split by monomial degree and
     every degree slice must reduce to zero against the row space.  The zero
-    subspace passes vacuously.
+    subspace passes vacuously.  The rows are the echelon's, in increasing
+    pivot order; a row's scale changes neither test, and the witness divides
+    by the lead, as the reduced row does.
     """
     from .presentation import format_element
 
     window = ws.window
+    degrees = [sum(exp) for exp in window.basis]
     field = ScalarField(())
-    for row in ws.rows:
-        element = {window.basis[c]: x for c, x in enumerate(row) if x}
-        components = homogeneous_components(NCPoly(element))
-        if len(components) <= 1:
+    for lead, row in sorted(ws.echelon.pivots.items()):
+        slices: dict[int, dict] = {}
+        for c, x in row.items():
+            slices.setdefault(degrees[c], {})[c] = x
+        if len(slices) <= 1:
             continue
-        for k, piece in components:
-            if not ws._echelon.contains(
-                {window.index_of(exp): x for exp, x in piece.terms.items()}
-            ):
+        for k in sorted(slices):
+            if not ws.echelon.contains(slices[k]):
+                h = row[lead]
                 witness = {
-                    "row": format_element(element, window.gens, field),
+                    "row": format_element(
+                        {window.basis[c]: Fraction(x, h) for c, x in row.items()},
+                        window.gens, field,
+                    ),
                     "degree": k,
-                    "component": format_element(piece.terms, window.gens, field),
+                    "component": format_element(
+                        {window.basis[c]: Fraction(x, h) for c, x in slices[k].items()},
+                        window.gens, field,
+                    ),
                 }
                 return SemigradedReport(False, window.d, witness)
     return SemigradedReport(True, window.d)

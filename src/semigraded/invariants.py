@@ -371,11 +371,13 @@ def _span_growth(
 
     Rows are held in one echelon over the columns of F_{degree * k_max}; each
     round multiplies the frame into the rows added last round (earlier rows
-    were already absorbed).  The echelon's rows are primitive integer rows,
-    and the engine's product of a frame element with one comes back as
-    integer numerators over a denominator, which is dropped: a row's scale
-    does not change its span.  The RREF for that window's column order is
-    unique, so every rank is exact whatever order rows were reduced in.
+    were already absorbed).  The window's columns are mapped to the rewrite
+    engine's packed monomials once, and the frame is packed once.  The
+    echelon's rows are primitive integer rows, and the engine's product of
+    a frame element with one comes back as integer numerators over a
+    denominator, which is dropped: a row's scale does not change its span.
+    The RREF for that window's column order is unique, so every rank is
+    exact whatever order rows were reduced in.
     """
     ambient = comb(spec_pres.n + degree * k_max, spec_pres.n)
     if ambient > _GROWTH_DIMENSION_CAP:
@@ -385,22 +387,24 @@ def _span_growth(
             "spans a full filtration window, which has a closed form"
         )
     window = filtration_window(spec_pres, degree * k_max)
-    product = rewrite._engine(spec_pres).product
+    eng = rewrite._engine(spec_pres)
+    packed = [eng.key(exp) for exp in window.basis]
+    column = {m: c for c, m in enumerate(packed)}
+    frame = [eng.pack(b.terms)[0] for b in basis]
     echelon = Echelon()
 
     def insert(terms: dict) -> Optional[dict]:
-        return echelon.insert({window.index_of(e): c for e, c in terms.items()})
+        return echelon.insert({column[m]: c for m, c in terms.items()})
 
-    frontier = [row for row in (insert(b.terms) for b in basis) if row is not None]
+    frontier = [row for row in map(insert, frame) if row is not None]
+    factors = [b for b in frame if set(b) != {0}]
     dims = {1: len(echelon.pivots)}
     for k in range(2, k_max + 1):
         fresh: list[dict] = []
-        for b in basis:
-            if b.degree() == 0:
-                continue
+        for b in factors:
             for row in frontier:
-                element = {window.basis[c]: x for c, x in row.items()}
-                added = insert(product(b.terms, element)[0])
+                element = {packed[c]: x for c, x in row.items()}
+                added = insert(eng.product(b, element)[0])
                 if added is not None:
                     fresh.append(added)
         frontier = fresh

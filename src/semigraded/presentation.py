@@ -293,7 +293,7 @@ class _Cursor:
 # algebra (keys are words, tuples of generator indices with the left factor
 # first), so canonicalization sees the literal words ``xj*xi`` and ``xi*xj``.
 # Element text is evaluated straight in the ordered-monomial basis (keys are
-# exponent vectors, products go through the rewrite engine), so
+# the rewrite engine's packed monomials, products go through it), so
 # ``(x1+x2+x3)^40`` never expands into 3^40 words.
 
 
@@ -629,11 +629,10 @@ def parse_element(presentation: AlgebraPresentation, text: str):
     """
     from . import rewrite
 
-    p = presentation
-    units = {g: tuple(int(m == k) for m in range(p.n)) for k, g in enumerate(p.gens)}
-    mul = rewrite._engine(p).mixed_product
-    value = _evaluate(text, p.field, units, (0,) * p.n, mul)
-    return rewrite.NCPoly(rewrite._widen(value))
+    eng = rewrite._engine(presentation)
+    units = dict(zip(presentation.gens, eng.unit))
+    value = _evaluate(text, presentation.field, units, 0, eng.mixed_product)
+    return rewrite.NCPoly(eng.unpack(rewrite._widen(value, 1)))
 
 
 def parse_scalar(field: ScalarField, text: str) -> Scalar:

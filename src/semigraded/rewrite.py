@@ -9,7 +9,22 @@ at the same degree, which is a well-founded measure.
 
 The worker is ``x_i * (ordered monomial)``; its results are memoized per
 presentation, as are full monomial-pair products, so repeated multiplications
-over the same presentation stay cheap.
+over the same presentation stay cheap.  It peels the first letter x_j of
+the monomial level by level, in a loop over x_j's exponent rather than one
+recursive call per degree.
+
+Inside the engine an ordered monomial is one Python ``int``, a packed
+exponent vector (M. Monagan and R. Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007): each
+variable owns a 32-bit field, x1 the highest, so comparing packed monomials
+compares their exponent vectors lexicographically.  ``x_i * m`` needs no
+rewriting exactly when ``m`` has no letter before x_i, which is one
+comparison ``m < limit[i]``; appending x_i adds ``unit[i]``; the first
+letter of ``m`` is read from ``m.bit_length()``.  Memo keys are ints too.
+Exponent tuples stay the public form: each public call packs its operands
+once and unpacks its result once.  A monomial of degree ``_DEGREE_LIMIT``
+(2^31) or more is refused with a ``ValueError`` where it would be packed,
+so that the product of two packed monomials always fits its fields.
 
 Over Q the engine computes in Python ``int`` only: rules and inputs enter
 as integer numerators over one denominator, and each memo entry holds
@@ -152,6 +167,20 @@ def monomial(presentation: AlgebraPresentation, exponents, coeff=None) -> NCPoly
 # rewriting engine
 # ---------------------------------------------------------------------------
 
+# Inside the engine an ordered monomial is one int: a field of _FIELD_BITS
+# bits per variable, x1 in the highest.  Every monomial that is packed has
+# degree below _DEGREE_LIMIT, so the product of two still fits its fields.
+_FIELD_BITS = 32
+_DEGREE_LIMIT = 1 << (_FIELD_BITS - 1)
+
+
+def _degree_overflow(degree) -> ValueError:
+    return ValueError(
+        f"monomial degree {degree} reaches the rewrite engine's limit "
+        f"_DEGREE_LIMIT = 2^{_FIELD_BITS - 1}: exponents are packed into "
+        f"{_FIELD_BITS}-bit fields; use lower degrees"
+    )
+
 
 def _cleared(terms: Mapping) -> tuple[dict, int]:
     """Rational coefficients as integer numerators over their least common
@@ -167,10 +196,9 @@ def _split(value) -> tuple[dict, int]:
     return value if type(value) is tuple else (value, 1)
 
 
-def _widen(value) -> dict:
-    """Divide a fresh engine value's ``int`` numerators by its denominator,
-    as ``Fraction``, so that no ``int`` leaves the engine."""
-    terms, den = _split(value)
+def _widen(terms: dict, den: int) -> dict:
+    """Divide a fresh result's ``int`` numerators by ``den``, as
+    ``Fraction``, in place, so that no ``int`` leaves the engine."""
     if den == 1:
         for exp, c in terms.items():
             if type(c) is int:
@@ -182,7 +210,13 @@ def _widen(value) -> dict:
 
 
 class _Engine:
-    """Memoized products over one presentation.
+    """Memoized products over one presentation, on packed monomials.
+
+    ``unit[i]`` is the packed x_i, and ``x_i * m`` needs no rewriting
+    exactly when ``m < limit[i]`` (m has no letter before x_i); then it is
+    ``m + unit[i]``.  Such products are computed inline and never memoized.
+    ``_var`` is keyed by ``m + tag[i]`` and ``_pair`` by ``alpha << bits |
+    beta``.
 
     An engine value is a dict of numerators whose denominator is 1, or a
     pair ``(numerators, den)`` with an ``int`` ``den > 1`` coprime to them;
@@ -195,10 +229,16 @@ class _Engine:
 
     def __init__(self, presentation: AlgebraPresentation) -> None:
         p = presentation
-        self.n = p.n
+        n = self.n = p.n
+        self.bits = _FIELD_BITS * n
+        self.shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
+        self.mask = (1 << _FIELD_BITS) - 1
+        self.unit = [1 << s for s in self.shifts]
+        self.limit = [u << _FIELD_BITS for u in self.unit]
+        self.tag = [i << self.bits for i in range(n)]
         self.rational = not p.field.params
         self.one = 1 if self.rational else p.field.one
-        self.rules = {}
+        self.rules = [[None] * n for _ in range(n)]
         for (i, j), rel in p.relations.items():
             values = (rel.c, *rel.linear, rel.constant)
             den = 1
@@ -206,118 +246,172 @@ class _Engine:
                 den = lcm(*(v.denominator for v in values))
                 values = tuple(v.numerator * (den // v.denominator) for v in values)
             sparse = tuple((k, s) for k, s in enumerate(values[1:-1]) if s)
-            self.rules[(i, j)] = (
+            self.rules[i][j] = (
                 values[0], sparse, values[-1], den, rel.is_default(p.field)
             )
-        self.integral = all(rule[3] == 1 for rule in self.rules.values())
+        self.integral = all(
+            rule[3] == 1 for row in self.rules for rule in row if rule is not None
+        )
         self._var: dict = {}
         self._pair: dict = {}
 
-    # x_index * (ordered monomial) in normal form.  Cached results are
-    # immutable; all accumulation happens in fresh dicts.
-    def var_times_monomial(self, index: int, beta: tuple):
-        key = (index, beta)
-        cached = self._var.get(key)
-        if cached is not None:
-            return cached
-        first = -1
-        for m, e in enumerate(beta):
-            if e:
-                first = m
-                break
-        if first < 0 or index <= first:
-            exp = list(beta)
-            exp[index] += 1
-            result = {tuple(exp): self.one}
-            self._var[key] = result
-            return result
-        j = first
-        shrunk = list(beta)
-        shrunk[j] -= 1
-        beta1 = tuple(shrunk)
-        c, linear, const, den, default = self.rules[(j, index)]
-        tail = self.var_times_monomial(index, beta1)
-        if default:
-            result = self.var_times_poly(j, tail)
-        elif self.integral:
-            out: dict = {}
-            for exp, cf in self.var_times_poly(j, tail).items():
-                _acc(out, exp, c * cf)
-            for k, d in linear:
-                for exp, cf in self.var_times_monomial(k, beta1).items():
-                    _acc(out, exp, d * cf)
-            if const:
-                _acc(out, beta1, const)
-            result = out
-        else:
-            parts = [(c, self.var_times_poly(j, tail))]
-            for k, d in linear:
-                parts.append((d, self.var_times_monomial(k, beta1)))
-            result = _value(*_sum_over(parts, den, beta1 if const else None, const))
-        self._var[key] = result
-        return result
+    # packing at the public boundary
 
-    def var_times_poly(self, index: int, value):
-        """``x_index * value`` as an engine value."""
+    def key(self, exponents) -> int:
+        """The packed form of an exponent vector."""
+        degree = sum(exponents)
+        if degree >= _DEGREE_LIMIT:
+            raise _degree_overflow(degree)
+        m = 0
+        for e in exponents:
+            m = m << _FIELD_BITS | e
+        return m
+
+    def pack(self, terms: Mapping) -> tuple[dict, int]:
+        """``{exponents: scalar}`` on packed keys as ``(numerators, den)``;
+        over Q the coefficients are cleared to ``int``."""
+        key = self.key
+        packed = {key(exp): c for exp, c in terms.items()}
+        return _cleared(packed) if self.rational else (packed, 1)
+
+    def unpack(self, terms: Mapping) -> dict:
+        """Packed keys back to exponent tuples."""
+        mask, shifts = self.mask, self.shifts
+        return {tuple(m >> s & mask for s in shifts): c for m, c in terms.items()}
+
+    # x_i * (packed ordered monomial) in normal form.  Cached results are
+    # immutable; all accumulation happens in fresh dicts.
+    def var_times_monomial(self, i: int, m: int):
+        if m < self.limit[i]:
+            return {m + self.unit[i]: self.one}
+        cached = self._var.get(m + self.tag[i])
+        return self._peel(i, m) if cached is None else cached
+
+    def _peel(self, i: int, m: int):
+        """``x_i * m`` for an ``m`` whose first letter comes before x_i and
+        whose product is not memoized yet."""
+        var = self._var
+        tag = self.tag[i]
+        # m = x_j^e * rest, x_j its first letter (j < i).  Walk down the
+        # levels x_j^t * rest to the nearest one memoized (or t = 0), then
+        # back up, one memo entry per level: no recursion per degree.
+        j = self.n - 1 - (m.bit_length() - 1) // _FIELD_BITS
+        step = self.unit[j]
+        rest = m & (step - 1)
+        level = m - step
+        value = None
+        while level != rest:
+            value = var.get(level + tag)
+            if value is not None:
+                break
+            level -= step
+        if value is None:
+            value = self.var_times_monomial(i, rest)
+        c, linear, const, den, default = self.rules[j][i]
+        while level != m:
+            # x_i * x_j * level = (c*x_j*x_i + sum d_k*x_k + const) * level
+            if default:
+                value = self.var_times_poly(j, value)
+            elif self.integral:
+                out = self.var_times_poly(j, value)
+                if c != 1:
+                    out = {exp: c * cf for exp, cf in out.items()}
+                for k, d in linear:
+                    if level < self.limit[k]:
+                        _acc(out, level + self.unit[k], d)
+                        continue
+                    for exp, cf in self.var_times_monomial(k, level).items():
+                        _acc(out, exp, d * cf)
+                if const:
+                    _acc(out, level, const)
+                value = out
+            else:
+                parts = [(c, self.var_times_poly(j, value))]
+                for k, d in linear:
+                    parts.append((d, self.var_times_monomial(k, level)))
+                value = _value(*_sum_over(parts, den, level if const else None, const))
+            level += step
+            var[level + tag] = value
+        return value
+
+    def var_times_poly(self, i: int, value):
+        """``x_i * value`` as an engine value."""
+        lim = self.limit[i]
+        unit = self.unit[i]
+        var = self._var
+        tag = self.tag[i]
         if self.integral:
             out: dict = {}
-            for exp, cf in value.items():
-                for exp2, c2 in self.var_times_monomial(index, exp).items():
-                    _acc(out, exp2, cf * c2)
+            get = out.get
+            for m, cf in value.items():
+                if m < lim:
+                    _acc(out, m + unit, cf)
+                    continue
+                product = var.get(m + tag)
+                if product is None:
+                    product = self._peel(i, m)
+                # _acc inlined: this is the engine's innermost loop
+                for m2, c2 in product.items():
+                    cur = get(m2)
+                    if cur is None:
+                        out[m2] = cf * c2
+                    else:
+                        cur += cf * c2
+                        if cur:
+                            out[m2] = cur
+                        else:
+                            del out[m2]
             return out
         terms, den = _split(value)
-        parts = []
-        for exp, cf in terms.items():
-            parts.append((cf, self.var_times_monomial(index, exp)))
+        shifted = {}
+        parts = [(1, shifted)]
+        for m, cf in terms.items():
+            if m < lim:
+                shifted[m + unit] = cf
+                continue
+            product = var.get(m + tag)
+            if product is None:
+                product = self._peel(i, m)
+            parts.append((cf, product))
         return _value(*_sum_over(parts, den))
 
-    def monomial_product(self, alpha: tuple, beta: tuple):
-        key = (alpha, beta)
+    def monomial_product(self, alpha: int, beta: int):
+        key = alpha << self.bits | beta
         cached = self._pair.get(key)
         if cached is not None:
             return cached
         result = {beta: self.one}
         for i in range(self.n - 1, -1, -1):
-            for _ in range(alpha[i]):
+            for _ in range(alpha >> self.shifts[i] & self.mask):
                 result = self.var_times_poly(i, result)
         self._pair[key] = result
         return result
 
     def product(self, p_terms: Mapping, q_terms: Mapping) -> tuple[dict, int]:
-        """Normal form of ``p * q`` as ``(numerators, den)``, not always
-        reduced.
-
-        Over Q the inputs' rational coefficients are cleared to integers
-        first; over Q(params) they pass through with denominator 1.
-        """
-        pd = qd = 1
-        if self.rational:
-            p_terms, pd = _cleared(p_terms)
-            q_terms, qd = _cleared(q_terms)
+        """Normal form of ``p * q`` on packed keys as ``(numerators, den)``,
+        reduced.  Over Q the inputs' coefficients are ``int``."""
         q_items = list(q_terms.items())
-        if self.integral:
-            out: dict = {}
-            for alpha, ca in p_terms.items():
-                for beta, cb in q_items:
-                    cab = ca * cb
-                    for gamma, cg in self.monomial_product(alpha, beta).items():
-                        _acc(out, gamma, cab * cg)
-            return out, pd * qd
         parts = []
         for alpha, ca in p_terms.items():
             for beta, cb in q_items:
                 parts.append((ca * cb, self.monomial_product(alpha, beta)))
-        return _sum_over(parts, pd * qd)
+        return _sum_over(parts, 1)
 
     def mixed_product(self, p_terms: Mapping, q_terms: Mapping) -> dict:
-        """``p * q`` for the element parser: ``int`` numerators where the
-        denominator is 1, ``Fraction`` otherwise.  The two mix through the
-        numeric tower, and the parser widens once, at the end."""
+        """``p * q`` on packed keys for the element parser: ``int``
+        numerators where the denominator is 1, ``Fraction`` otherwise.  The
+        two mix through the numeric tower, and the parser widens once, at
+        the end."""
+        pd = qd = 1
+        if self.rational:
+            p_terms, pd = _cleared(p_terms)
+            q_terms, qd = _cleared(q_terms)
         terms, den = self.product(p_terms, q_terms)
-        return terms if den == 1 else _widen((terms, den))
+        den *= pd * qd
+        return terms if den == 1 else _widen(terms, den)
 
     def word_normal_form(self, word: tuple):
-        result = {(0,) * self.n: self.one}
+        result = {0: self.one}
         for letter in reversed(word):
             result = self.var_times_poly(letter, result)
         return result
@@ -335,6 +429,7 @@ def _sum_over(parts: list, den: int, at=None, const=None) -> tuple[dict, int]:
         if type(value) is tuple and common % value[1]:
             common = lcm(common, value[1])
     out: dict = {}
+    get = out.get
     for f, terms in parts:
         if type(terms) is tuple:
             terms, d = terms
@@ -342,8 +437,17 @@ def _sum_over(parts: list, den: int, at=None, const=None) -> tuple[dict, int]:
                 f = f * (common // d)
         elif common != 1:
             f = f * common
+        # _acc inlined, as in var_times_poly
         for exp, c in terms.items():
-            _acc(out, exp, f * c)
+            cur = get(exp)
+            if cur is None:
+                out[exp] = f * c
+            else:
+                cur += f * c
+                if cur:
+                    out[exp] = cur
+                else:
+                    del out[exp]
     if at is not None:
         _acc(out, at, const if common == 1 else const * common)
     return _reduced(out, den * common)
@@ -365,7 +469,7 @@ def _reduced(terms: dict, den: int) -> tuple[dict, int]:
     return {exp: c // g for exp, c in terms.items()}, den // g
 
 
-def _acc(out: dict, exp: tuple, val) -> None:
+def _acc(out: dict, exp, val) -> None:
     cur = out.get(exp)
     if cur is None:
         if val:
@@ -389,18 +493,27 @@ def _engine(presentation: AlgebraPresentation) -> _Engine:
 
 def nc_mul(presentation: AlgebraPresentation, p: NCPoly, q: NCPoly) -> NCPoly:
     """Product in normal form.  deg(pq) <= deg(p) + deg(q)."""
-    return NCPoly(_widen(_engine(presentation).product(p.terms, q.terms)))
+    eng = _engine(presentation)
+    p_terms, pd = eng.pack(p.terms)
+    q_terms, qd = eng.pack(q.terms)
+    terms, den = eng.product(p_terms, q_terms)
+    return NCPoly(eng.unpack(_widen(terms, den * pd * qd)))
 
 
 def nc_pow(presentation: AlgebraPresentation, p: NCPoly, k: int) -> NCPoly:
     if k < 0:
         raise ValueError("negative powers are not defined for elements")
-    result = constant(presentation, 1)
+    if p and k * p.degree() >= _DEGREE_LIMIT:
+        raise _degree_overflow(k * p.degree())
+    eng = _engine(presentation)
+    p_terms, pd = eng.pack(p.terms)
+    result, den = {0: eng.one}, 1
     for _ in range(k):
         # x_i * (ordered monomial) is one memo lookup; multiplying on the
         # right would walk every letter of the monomial instead
-        result = nc_mul(presentation, p, result)
-    return result
+        terms, d = eng.product(p_terms, result)
+        result, den = _reduced(terms, d * pd * den)
+    return NCPoly(eng.unpack(_widen(result, den)))
 
 
 def free_to_normal_form(presentation: AlgebraPresentation, free: Mapping) -> NCPoly:
@@ -412,7 +525,7 @@ def free_to_normal_form(presentation: AlgebraPresentation, free: Mapping) -> NCP
     parts = []
     for word, coeff in free.items():
         parts.append((coeff, eng.word_normal_form(word)))
-    return NCPoly(_widen(_sum_over(parts, den)))
+    return NCPoly(eng.unpack(_widen(*_sum_over(parts, den))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,51 @@
+"""Replay of recorded benchmark answers, so an engine change that alters a
+normal form or a window fails here and not only in the benchmark.
+
+``bench/workloads.py`` is loaded read-only (no bytecode is written under
+``bench/``); its ops are run through its own in-process runner and their
+answers compared, digested as the benchmark digests them, with
+``bench/answers/*.json``.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def _replay(workloads, workload, ops):
+    assert ops
+    expected = workloads.expected_answers(workload)
+    runner = workloads.InProcess(ops)
+    runner.setup()
+    for op in ops:
+        assert workloads.digest(runner.run(op)) == expected[op["id"]], op["id"]
+
+
+def test_shallow_deep_products_match_recorded_answers(workloads):
+    ops = [op for op in workloads.nf_plain_ops() if op["kind"] == "deep" and op["d"] <= 14]
+    _replay(workloads, "nf_plain", ops)
+
+
+def test_degree_six_windows_match_recorded_answers(workloads):
+    ops = [
+        op for op in workloads.ideal_window_ops()
+        if op["kind"] == "window" and op["d"] == 6 and op["file"] in ("uso3", "dispin")
+    ]
+    _replay(workloads, "ideal_window", ops)

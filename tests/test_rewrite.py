@@ -365,3 +365,51 @@ def test_nc_pow_is_the_right_associated_product():
     # do; a product of parenthesized non-linear factors may not
     for text, free in list(_reference_inputs(p))[:6]:
         assert parse_element(p, text) == free_to_normal_form(p, free), text
+
+
+def test_deep_weyl_product_peels_without_recursion():
+    # x2*x1^d recursed once per degree and hit the recursion limit at d=1200
+    p = parse_presentation("algebra w { vars: x1, x2; rel: x2*x1 = x1*x2 + 1; }")
+    got = nc_mul(p, variable(p, 1), parse_element(p, "x1^5000"))
+    assert fmt(p, got) == "x1^5000*x2 + 5000*x1^4999"
+
+
+def test_degree_past_the_packed_field_is_a_named_error():
+    p = parse_presentation(DISPIN)
+    x1 = variable(p, 0)
+    with pytest.raises(ValueError, match="_DEGREE_LIMIT"):
+        nc_mul(p, monomial(p, (2**31, 0, 0)), x1)
+    with pytest.raises(ValueError, match="_DEGREE_LIMIT"):
+        nc_pow(p, nc_add(x1, variable(p, 2)), 2**31)
+    # the largest packable degree still multiplies into its own field
+    top = nc_mul(p, x1, monomial(p, (2**31 - 1, 0, 0)))
+    assert top == monomial(p, (2**31, 0, 0))
+
+
+def test_packing_agrees_with_the_word_oracle_at_zero_and_six_variables():
+    empty = make_presentation("e", ScalarField(()), (), {})
+    two = constant(empty, Fraction(2, 3))
+    assert nc_mul(empty, two, constant(empty, 3)) == constant(empty, 2)
+    assert nc_pow(empty, two, 3) == constant(empty, Fraction(8, 27))
+    assert nc_pow(empty, two, 0) == constant(empty, 1)
+    assert parse_element(empty, "(2/3)^3 - 1") == constant(empty, Fraction(-19, 27))
+    _assert_fraction_coefficients(nc_pow(empty, two, 2))
+
+    p = parse_presentation((INPUTS / "weyl3.sgr").read_text())
+    assert p.n == 6
+    rng = random.Random(41)
+    for _ in range(8):
+        a, b = _random_poly(p, rng), _random_poly(p, rng)
+        assert nc_mul(p, a, b).terms == rewrite_product(p, a.terms, b.terms)
+    x = parse_element(p, " + ".join(p.gens[::-1]) + " - 1")
+    expected = constant(p, 1)
+    for k in range(1, 4):
+        expected = NCPoly(rewrite_product(p, x.terms, expected.terms))
+        assert nc_pow(p, x, k) == expected
+    descending = tuple(range(p.n - 1, -1, -1))
+    assert parse_element(p, "*".join(p.gens[::-1])) == NCPoly(rewrite_word(p, descending))
+    last, first = p.gens[-1], p.gens[0]
+    got = parse_element(p, f"({last}^2 - 3*{first})*({first}^2 + {last})")
+    assert got == nc_mul(
+        p, parse_element(p, f"{last}^2 - 3*{first}"), parse_element(p, f"{first}^2 + {last}")
+    )
