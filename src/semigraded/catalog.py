@@ -39,6 +39,7 @@ __all__ = [
     "catalog_entry",
     "catalog_verify",
     "export_presentations",
+    "recorded_gp_matches",
     "DEFAULT_BINDINGS",
 ]
 
@@ -594,6 +595,20 @@ def _dim_value(expr: str, bindings: Mapping[str, int]) -> int:
     raise CatalogError(f"unsupported dimension expression {expr!r}")
 
 
+def recorded_gp_matches(entry: CatalogEntry, coefficients: tuple) -> bool:
+    """Whether the entry's recorded polynomial equals ``coefficients``
+    (constant first).
+
+    Generic rows abbreviate the bracket's interior coefficients; the intended
+    literal reading is ambiguous, so they have no exact recording, are
+    verified against the derived polynomial only and always match.
+    """
+    if entry.explicit_gp is None:
+        return True
+    den, numerators = entry.explicit_gp
+    return tuple(Fraction(num, den) for num in numerators) == coefficients
+
+
 def catalog_verify(
     entry: CatalogEntry, bindings: Optional[Mapping[str, int]] = None
 ) -> dict:
@@ -620,12 +635,9 @@ def catalog_verify(
     formula_den = math.factorial(e - 1)
     formula_numerators = tuple(int(c * formula_den) for c in formula_gp_coeffs)
 
+    matches_gp = recorded_gp_matches(entry, formula_gp_coeffs)
     if entry.explicit_gp is not None:
         table_den, table_numerators = entry.explicit_gp
-        table_poly = tuple(
-            Fraction(num, table_den) for num in table_numerators
-        )
-        matches_gp = table_poly == formula_gp_coeffs
         gp_comparison = "exact"
         table_gp_resolved = {
             "denominator": table_den,
@@ -633,10 +645,6 @@ def catalog_verify(
             "abbreviated": False,
         }
     else:
-        # Generic rows abbreviate the bracket's interior coefficients; the
-        # intended literal reading is ambiguous, so these rows are verified
-        # against the derived polynomial only and never flagged.
-        matches_gp = True
         gp_comparison = "abbreviated"
         table_gp_resolved = {
             "denominator": formula_den,

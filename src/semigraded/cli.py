@@ -12,8 +12,12 @@ timings).  The fingerprint is a content hash of the canonical presentation
 print, so it is stable under whitespace and relation reordering in the
 input file.
 
-Exit codes: 0 on success, 1 on domain errors (parse/validation/
-specialization failures), 2 on usage errors.
+Every subcommand is a function ``(subject, args) -> (results, warnings,
+ok)``; ``subject`` is the parsed presentation, or the catalog bindings for
+``catalog``.  ``main`` alone checks flag floors, loads the file, computes
+the fingerprint, times the call, emits the report and maps errors to exit
+codes: 0 on success, 1 on domain errors (parse/validation/specialization
+failures, overlaps that do not resolve, a cap), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -27,12 +31,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .catalog import (
-    CatalogError,
     DEFAULT_BINDINGS,
     catalog_entry,
     catalog_list,
     catalog_verify,
     export_presentations,
+    recorded_gp_matches,
 )
 from .grading import left_ideal_window, is_semigraded_window
 from .invariants import (
@@ -44,7 +48,6 @@ from .invariants import (
     hilbert_series,
 )
 from .presentation import (
-    PresentationError,
     associated_graded,
     format_element,
     parse_element,
@@ -54,7 +57,6 @@ from .presentation import (
     validate,
 )
 from .rewrite import check_pbw
-from .scalars import SpecializationError
 
 __all__ = ["main"]
 
@@ -66,16 +68,6 @@ class _UsageError(Exception):
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
-
-
-def _fingerprint(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _load(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_presentation(text)
 
 
 def _parse_assignments(text: str, what: str) -> dict:
@@ -103,16 +95,6 @@ def _parse_bindings(text: str) -> dict:
             raise _UsageError(f"binding {name}={value} must be an integer")
         bindings[name] = int(value)
     return bindings
-
-
-def _report(command: str, fingerprint: Optional[str], results, warnings: list) -> dict:
-    return {
-        "command": command,
-        "fingerprint": fingerprint,
-        "results": results,
-        "warnings": warnings,
-        "timing_ms": None,
-    }
 
 
 def _render_text(value, indent: int = 0) -> list:
@@ -171,58 +153,59 @@ def _gp_divergence_warnings(n: int) -> list:
     if n < 1:
         return []
     formula = gp_coefficients(n)
-    warnings = []
-    divergent = []
-    recorded = None
-    for entry in catalog_list():
-        if not entry.table_n.isdigit() or int(entry.table_n) != n:
-            continue
-        if entry.explicit_gp is None:
-            continue
-        den, nums = entry.explicit_gp
-        if tuple(Fraction(c, den) for c in nums) != formula:
-            divergent.append(entry.key)
-            recorded = entry.gp_string
-    if divergent:
-        warnings.append(
-            {
-                "code": "gp-table-mismatch",
-                "message": (
-                    f"catalog rows of dimension {n} record the polynomial "
-                    f"{recorded!r}, which differs from the derived "
-                    f"{format_polynomial(formula)!r}"
-                ),
-                "entries": divergent,
-            }
+    divergent = [
+        entry for entry in catalog_list()
+        if entry.table_n.isdigit() and int(entry.table_n) == n
+        and not recorded_gp_matches(entry, formula)
+    ]
+    if not divergent:
+        return []
+    return [
+        {
+            "code": "gp-table-mismatch",
+            "message": (
+                f"catalog rows of dimension {n} record the polynomial "
+                f"{divergent[-1].gp_string!r}, which differs from the derived "
+                f"{format_polynomial(formula)!r}"
+            ),
+            "entries": [entry.key for entry in divergent],
+        }
+    ]
+
+
+def _require_basis(p) -> None:
+    """Refuse a presentation whose overlaps do not resolve.
+
+    The answers of ``hilbert``, ``gkdim`` and ``ideal-window`` hold only when
+    the ordered monomials form a basis, which the overlaps alone prove
+    (Bergman's diamond lemma); the random triples of ``validate`` are skipped.
+    """
+    failures = check_pbw(p, samples=0).failures
+    if failures:
+        f = failures[0]
+        raise ValueError(
+            f"overlap {f['triple']} resolves two ways ({f['left']} against "
+            f"{f['right']}), so the ordered monomials are not a basis; "
+            "'sgr validate' reports every failing check"
         )
-    return warnings
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommands: (presentation or catalog bindings, args) -> (results, warnings, ok)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
-    if args.pbw_degree < 1:
-        raise _UsageError("--pbw-degree must be at least 1")
-    started = time.perf_counter()
-    p = _load(args.file)
+def _cmd_validate(p, args):
     diag = validate(p)
     results = {"name": p.name, "n": p.n, "diagnostics": diag.to_dict()}
-    ok = diag.valid
-    if diag.valid:
-        pbw = check_pbw(p, degree_bound=args.pbw_degree)
-        results["pbw"] = pbw.to_dict()
-        ok = pbw.ok
-    report = _report("validate", _fingerprint(print_presentation(p)), results, [])
-    _emit(report, args.format, started)
-    return 0 if ok else 1
+    if not diag.valid:
+        return results, [], False
+    pbw = check_pbw(p, degree_bound=args.pbw_degree)
+    results["pbw"] = pbw.to_dict()
+    return results, [], pbw.ok
 
 
-def _cmd_nf(args) -> int:
-    started = time.perf_counter()
-    p = _load(args.file)
+def _cmd_nf(p, args):
     element = parse_element(p, args.expression)
     results = {
         "input": args.expression,
@@ -230,35 +213,21 @@ def _cmd_nf(args) -> int:
         "degree": None if not element else element.degree(),
         "terms": len(element.terms),
     }
-    report = _report("nf", _fingerprint(print_presentation(p)), results, [])
-    _emit(report, args.format, started)
-    return 0
+    return results, [], True
 
 
-def _cmd_hilbert(args) -> int:
-    if args.trunc < 0:
-        raise _UsageError("--trunc must be nonnegative")
-    started = time.perf_counter()
-    p = _load(args.file)
+def _cmd_hilbert(p, args):
     data = hilbert_series(p, args.trunc)
     results = data.to_dict()
     if args.poly:
+        coefficients = data.polynomial_coefficients
         results["polynomial_string"] = (
-            None
-            if data.polynomial_coefficients is None
-            else format_polynomial(data.polynomial_coefficients)
+            None if coefficients is None else format_polynomial(coefficients)
         )
-    warnings = _gp_divergence_warnings(p.n)
-    report = _report("hilbert", _fingerprint(print_presentation(p)), results, warnings)
-    _emit(report, args.format, started)
-    return 0
+    return results, _gp_divergence_warnings(p.n), True
 
 
-def _cmd_gkdim(args) -> int:
-    if args.kmax < 8:
-        raise _UsageError("--kmax must be at least 8")
-    started = time.perf_counter()
-    p = _load(args.file)
+def _cmd_gkdim(p, args):
     specialization = None
     if args.specialize:
         specialization = _parse_assignments(args.specialize, "specialization")
@@ -267,10 +236,8 @@ def _cmd_gkdim(args) -> int:
         p.field.resolve_assignment(specialization)
     frame = None
     if args.frame:
-        basis = tuple(parse_element(p, expr) for expr in args.frame.split(","))
-        frame = Frame(basis)
+        frame = Frame(tuple(parse_element(p, expr) for expr in args.frame.split(",")))
     estimate = ggk_estimate(p, frame=frame, k_max=args.kmax, specialization=specialization)
-    results = {"exact": ggk_exact(p), "estimate": estimate.to_dict()}
     warnings = [
         {
             "code": "finite-window-estimate",
@@ -283,33 +250,22 @@ def _cmd_gkdim(args) -> int:
     ]
     if estimate.specialization is not None:
         warnings.append(_specialization_warning(estimate.specialization))
-    report = _report("gkdim", _fingerprint(print_presentation(p)), results, warnings)
-    _emit(report, args.format, started)
-    return 0
+    return {"exact": ggk_exact(p), "estimate": estimate.to_dict()}, warnings, True
 
 
-def _cmd_gr(args) -> int:
-    started = time.perf_counter()
-    p = _load(args.file)
+def _cmd_gr(p, args):
     graded = associated_graded(p)
-    matrix = q_matrix(graded)
     results = {
         "presentation": print_presentation(graded),
         "quasi_commutative": validate(graded).quasi_commutative,
         "q_matrix": [
-            [p.field.format(entry) for entry in row] for row in matrix
+            [p.field.format(entry) for entry in row] for row in q_matrix(graded)
         ],
     }
-    report = _report("gr", _fingerprint(print_presentation(p)), results, [])
-    _emit(report, args.format, started)
-    return 0
+    return results, [], True
 
 
-def _cmd_ideal_window(args) -> int:
-    if args.degree < 0:
-        raise _UsageError("--degree must be nonnegative")
-    started = time.perf_counter()
-    p = _load(args.file)
+def _cmd_ideal_window(p, args):
     specialization = (
         _parse_assignments(args.specialize, "specialization")
         if args.specialize
@@ -317,88 +273,63 @@ def _cmd_ideal_window(args) -> int:
     )
     generators = [parse_element(p, expr) for expr in args.gens.split(",")]
     ws = left_ideal_window(p, generators, args.degree, specialization)
-    sg = is_semigraded_window(ws)
     results = {
         "window": ws.to_dict(),
-        "semigraded": sg.to_dict(),
+        "semigraded": is_semigraded_window(ws).to_dict(),
         "generators": [format_element(g.terms, p.gens, p.field) for g in generators],
     }
-    warnings = []
-    if p.field.params:
-        warnings.append(_specialization_warning(ws.specialization))
-    report = _report(
-        "ideal-window", _fingerprint(print_presentation(p)), results, warnings
-    )
-    _emit(report, args.format, started)
-    return 0
+    warnings = [_specialization_warning(ws.specialization)] if p.field.params else []
+    return results, warnings, True
 
 
-def _cmd_catalog(args) -> int:
-    started = time.perf_counter()
-    bindings = dict(DEFAULT_BINDINGS)
-    if args.bind:
-        bindings.update(_parse_bindings(args.bind))
-    bind_text = ",".join(f"{k}={v}" for k, v in sorted(bindings.items()))
-    fingerprint = _fingerprint(
-        f"catalog {args.action} entry={args.entry or '*'} bind={bind_text}"
-    )
-    warnings: list = []
-
+def _cmd_catalog(bindings, args):
     if args.action == "list":
         entries = catalog_list()
-        results = {"count": len(entries), "entries": [e.to_dict() for e in entries]}
-    elif args.action == "verify":
-        if args.entry:
-            targets = [catalog_entry(args.entry)]
-        else:
-            targets = list(catalog_list())
-        reports = [catalog_verify(entry, bindings) for entry in targets]
-        summary = {
-            "total": len(reports),
-            "gh_matches": sum(1 for r in reports if r["matches_formula"]["gh"]),
-            "gp_matches": sum(1 for r in reports if r["matches_formula"]["gp"]),
-            "gp_mismatches": [
-                r["entry"] for r in reports if not r["matches_formula"]["gp"]
-            ],
-        }
-        results = {"bindings": bindings, "summary": summary, "reports": reports}
-        for r in reports:
-            if "gp-table-mismatch" in r["flags"]:
-                warnings.append(
-                    {
-                        "code": "gp-table-mismatch",
-                        "entry": r["entry"],
-                        "message": (
-                            f"recorded polynomial {r['table_gp']!r} differs from "
-                            f"derived {r['formula_gp']!r}"
-                        ),
-                    }
-                )
-            if "semi-graduation-differs" in r["flags"]:
-                warnings.append(
-                    {
-                        "code": "semi-graduation-differs",
-                        "entry": r["entry"],
-                        "message": (
-                            "the executable model grades by total degree, which "
-                            "differs from the graduation behind the recorded "
-                            "dimension"
-                        ),
-                    }
-                )
-    else:  # export
+        return {"count": len(entries), "entries": [e.to_dict() for e in entries]}, [], True
+    if args.action == "export":
         if not args.out:
             raise _UsageError("catalog export requires --out DIR")
         written = export_presentations(args.out, bindings)
-        results = {"written": written, "count": len(written)}
+        return {"written": written, "count": len(written)}, [], True
 
-    report = _report(f"catalog {args.action}", fingerprint, results, warnings)
-    _emit(report, args.format, started)
-    return 0
+    targets = [catalog_entry(args.entry)] if args.entry else list(catalog_list())
+    reports = [catalog_verify(entry, bindings) for entry in targets]
+    summary = {
+        "total": len(reports),
+        "gh_matches": sum(1 for r in reports if r["matches_formula"]["gh"]),
+        "gp_matches": sum(1 for r in reports if r["matches_formula"]["gp"]),
+        "gp_mismatches": [r["entry"] for r in reports if not r["matches_formula"]["gp"]],
+    }
+    warnings = []
+    for r in reports:
+        if "gp-table-mismatch" in r["flags"]:
+            warnings.append(
+                {
+                    "code": "gp-table-mismatch",
+                    "entry": r["entry"],
+                    "message": (
+                        f"recorded polynomial {r['table_gp']!r} differs from "
+                        f"derived {r['formula_gp']!r}"
+                    ),
+                }
+            )
+        if "semi-graduation-differs" in r["flags"]:
+            warnings.append(
+                {
+                    "code": "semi-graduation-differs",
+                    "entry": r["entry"],
+                    "message": (
+                        "the executable model grades by total degree, which "
+                        "differs from the graduation behind the recorded "
+                        "dimension"
+                    ),
+                }
+            )
+    return {"bindings": bindings, "summary": summary, "reports": reports}, warnings, True
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# argument parsing and the command pipeline
 # ---------------------------------------------------------------------------
 
 
@@ -413,6 +344,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="sgr",
         description="Invariants of semi-graded rings given by PBW presentations.",
     )
+    # floors: the least value of each integer flag, by dest; gated commands
+    # answer only for presentations whose overlaps resolve
+    parser.set_defaults(floors={}, gated=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser(
@@ -421,14 +355,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("file")
     s.add_argument("--pbw-degree", type=int, default=3, dest="pbw_degree")
-    s.set_defaults(func=_cmd_validate)
+    s.set_defaults(run=_cmd_validate, floors={"pbw_degree": 1})
 
     s = sub.add_parser(
         "nf", parents=[shared], help="normal form of an element expression"
     )
     s.add_argument("file")
     s.add_argument("expression")
-    s.set_defaults(func=_cmd_nf)
+    s.set_defaults(run=_cmd_nf)
 
     s = sub.add_parser(
         "hilbert", parents=[shared],
@@ -437,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
     s.add_argument("--trunc", type=int, default=10)
     s.add_argument("--poly", action="store_true")
-    s.set_defaults(func=_cmd_hilbert)
+    s.set_defaults(run=_cmd_hilbert, floors={"trunc": 0}, gated=True)
 
     s = sub.add_parser(
         "gkdim", parents=[shared],
@@ -447,13 +381,13 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kmax", type=int, default=200)
     s.add_argument("--frame", help="comma-separated frame basis expressions")
     s.add_argument("--specialize", help="parameter values, e.g. q=3,nu=1/2")
-    s.set_defaults(func=_cmd_gkdim)
+    s.set_defaults(run=_cmd_gkdim, floors={"kmax": 8}, gated=True)
 
     s = sub.add_parser(
         "gr", parents=[shared], help="associated graded presentation"
     )
     s.add_argument("file")
-    s.set_defaults(func=_cmd_gr)
+    s.set_defaults(run=_cmd_gr)
 
     s = sub.add_parser(
         "ideal-window", parents=[shared],
@@ -463,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--gens", required=True, help="comma-separated generators")
     s.add_argument("--degree", type=int, required=True)
     s.add_argument("--specialize")
-    s.set_defaults(func=_cmd_ideal_window)
+    s.set_defaults(run=_cmd_ideal_window, floors={"degree": 0}, gated=True)
 
     s = sub.add_parser(
         "catalog", parents=[shared], help="list, verify, or export the catalog"
@@ -472,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--entry", help="restrict to one entry key")
     s.add_argument("--bind", help="dimension bindings, e.g. n=3,r=1")
     s.add_argument("--out", help="output directory for export")
-    s.set_defaults(func=_cmd_catalog)
+    s.set_defaults(run=_cmd_catalog)
 
     return parser
 
@@ -484,17 +418,41 @@ def main(argv: Optional[list] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        for dest, floor in args.floors.items():
+            if getattr(args, dest) < floor:
+                need = "nonnegative" if floor == 0 else f"at least {floor}"
+                raise _UsageError(f"--{dest.replace('_', '-')} must be {need}")
+        started = time.perf_counter()
+        if args.command == "catalog":
+            command = f"catalog {args.action}"
+            subject = dict(DEFAULT_BINDINGS)
+            if args.bind:
+                subject.update(_parse_bindings(args.bind))
+            bind_text = ",".join(f"{k}={v}" for k, v in sorted(subject.items()))
+            identity = f"{command} entry={args.entry or '*'} bind={bind_text}"
+        else:
+            command = args.command
+            with open(args.file, "r", encoding="utf-8") as handle:
+                text = handle.read()
+            subject = parse_presentation(text)
+            identity = print_presentation(subject)
+            if args.gated:
+                _require_basis(subject)
+        results, warnings, ok = args.run(subject, args)
+        report = {
+            "command": command,
+            "fingerprint": hashlib.sha256(identity.encode("utf-8")).hexdigest(),
+            "results": results,
+            "warnings": warnings,
+            "timing_ms": None,
+        }
+        _emit(report, args.format, started)
+        return 0 if ok else 1
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (PresentationError, SpecializationError, CatalogError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
+        # PresentationError, SpecializationError and CatalogError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

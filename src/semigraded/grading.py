@@ -27,7 +27,9 @@ from functools import cached_property
 from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .presentation import AlgebraPresentation, format_monomial, specialize_presentation
+from .presentation import (
+    AlgebraPresentation, format_element, format_monomial, specialize_presentation,
+)
 from . import rewrite
 from .rewrite import NCPoly
 from .scalars import ScalarField
@@ -400,8 +402,6 @@ def is_semigraded_window(ws: WindowSubspace) -> SemigradedReport:
     pivot order; a row's scale changes neither test, and the witness divides
     by the lead, as the reduced row does.
     """
-    from .presentation import format_element
-
     window = ws.window
     degrees = [sum(exp) for exp in window.basis]
     field = ScalarField(())

@@ -296,6 +296,10 @@ class _Cursor:
 # the rewrite engine's packed monomials, products go through it), so
 # ``(x1+x2+x3)^40`` never expands into 3^40 words.
 
+# A power is evaluated by one product per unit of its exponent, so the time
+# grows with the exponent; an exponent beyond this cap is refused.
+_EXPONENT_CAP = 10_000
+
 
 def _add(field, p, q):
     out = dict(p)
@@ -402,6 +406,8 @@ class _ExprParser:
             return value
         caret = cur.take()
         numer, denom = self._parse_exponent()
+        if abs(numer) > _EXPONENT_CAP:
+            cur.fail(f"exponent {numer} exceeds _EXPONENT_CAP = {_EXPONENT_CAP}", caret)
         if denom != 1:
             if param_name is None:
                 cur.fail("fractional exponent on a non-parameter", caret)

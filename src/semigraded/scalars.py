@@ -306,7 +306,7 @@ class ScalarField:
         den_s = self._format_poly(den)
         if len(num) > 1:
             num_s = f"({num_s})"
-        if _top_level_operator(den_s):
+        if _top_level(den_s, "*/+-"):
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
@@ -318,7 +318,7 @@ class ScalarField:
         """
         s = self.format(x)
         core = s[1:] if s.startswith("-") else s
-        if _top_level_sign(core):
+        if _top_level(core, "+-"):
             return False, f"({s})"
         if s.startswith("-"):
             return True, core
@@ -630,27 +630,14 @@ def _format_assignment(assignment: Mapping[str, Fraction]) -> str:
     return "{" + ", ".join(f"{k}={assignment[k]}" for k in sorted(assignment)) + "}"
 
 
-def _top_level_operator(s: str) -> bool:
-    """True if s contains *, /, +, or - outside parentheses."""
+def _top_level(s: str, operators: str) -> bool:
+    """True if s contains one of ``operators`` outside parentheses."""
     depth = 0
     for ch in s:
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif depth == 0 and ch in "*/+-":
-            return True
-    return False
-
-
-def _top_level_sign(s: str) -> bool:
-    """True if s contains + or - outside parentheses."""
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and ch in "+-":
+        elif depth == 0 and ch in operators:
             return True
     return False

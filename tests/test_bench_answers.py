@@ -4,7 +4,8 @@ normal form or a window fails here and not only in the benchmark.
 ``bench/workloads.py`` is loaded read-only (no bytecode is written under
 ``bench/``); its ops are run through its own in-process runner and their
 answers compared, digested as the benchmark digests them, with
-``bench/answers/*.json``.
+``bench/answers/*.json``.  The ``sgr`` ops of cli_mix run in-process
+through ``main``, with the report fields the benchmark reads.
 """
 
 import importlib.util
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from semigraded.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -49,3 +52,15 @@ def test_degree_six_windows_match_recorded_answers(workloads):
         if op["kind"] == "window" and op["d"] == 6 and op["file"] in ("uso3", "dispin")
     ]
     _replay(workloads, "ideal_window", ops)
+
+
+def test_cli_mix_reports_match_recorded_answers(workloads, capsys):
+    ops = workloads.cli_mix_ops()
+    assert len(ops) == 100
+    expected = workloads.expected_answers("cli_mix")
+    for op in ops:
+        argv = [str(workloads.INPUTS / f"{a}.sgr") if a in op["files"] else a
+                for a in op["args"]]
+        code = main(argv + ["--format", "json"])
+        answer = workloads.cli_answer(op["args"], code, capsys.readouterr().out)
+        assert workloads.digest(answer) == expected[op["id"]], op["id"]

@@ -49,6 +49,12 @@ algebra bad8 {
 }
 """
 
+# dispin with one relation perturbed: structurally valid, but the overlap
+# x3*x2*x1 no longer resolves
+PERTURBED_DISPIN = print_presentation(build_dispin()).replace(
+    "rel: x3*x2 = x2*x3 - x3;", "rel: x3*x2 = x2*x3 + 1;"
+)
+
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
@@ -62,6 +68,7 @@ def files(tmp_path_factory):
         ("sklyanin", SKLYANIN),
         ("broken", BROKEN),
         ("bad8", BAD8),
+        ("perturbed_dispin", PERTURBED_DISPIN),
     ):
         path = root / f"{name}.sgr"
         path.write_text(text)
@@ -124,12 +131,14 @@ def test_validate_rejects_broken_constants(files, capsys):
 
 
 def test_validate_reports_pbw_failure(files, capsys):
-    code, report, _ = run_json(capsys, "validate", files["bad8"])
-    assert code == 1
-    assert report["results"]["diagnostics"]["valid"] is True
-    pbw = report["results"]["pbw"]
-    assert pbw["ok"] is False
-    assert pbw["failures"][0]["kind"] == "overlap"
+    for name in ("bad8", "perturbed_dispin"):
+        code, report, _ = run_json(capsys, "validate", files[name])
+        assert code == 1
+        assert report["results"]["diagnostics"]["valid"] is True
+        pbw = report["results"]["pbw"]
+        assert pbw["ok"] is False
+        assert pbw["failures"][0]["kind"] == "overlap"
+        assert pbw["failures"][0]["triple"] == "(x3, x2, x1)"
 
 
 def test_nf_examples(files, capsys):
@@ -388,3 +397,27 @@ def test_nf_of_a_high_power_ends_in_bounded_time(files, package_env):
     assert proc.returncode == 0
     results = json.loads(proc.stdout)["results"]
     assert (results["terms"], results["degree"]) == (12130, 40)
+
+
+@pytest.mark.parametrize("name", ["perturbed_dispin", "bad8"])
+@pytest.mark.parametrize("argv", [
+    ("hilbert", "--poly"),
+    ("gkdim",),
+    ("ideal-window", "--gens", "x1", "--degree", "3"),
+])
+def test_answers_need_resolving_overlaps(files, capsys, name, argv):
+    command, *flags = argv
+    code, out, err = run(capsys, command, files[name], *flags, "--format", "json")
+    assert (code, out) == (1, "")
+    assert "overlap (x3, x2, x1)" in err
+
+
+def test_a_huge_exponent_is_refused_in_bounded_time(files, package_env):
+    # a power costs one product per unit of its exponent
+    proc = subprocess.run(
+        [sys.executable, "-m", "semigraded", "nf", files["kx"], "x1^2000000000",
+         "--format", "json"],
+        capture_output=True, text=True, env=package_env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "_EXPONENT_CAP" in proc.stderr

@@ -249,6 +249,7 @@ EXPRESSION_ERRORS = [
     ("0^-1", "negative power of zero", 2),
     ("x1/0", "division by zero", 3),
     ("x1^(1/2)", "fractional exponent on a non-parameter", 3),
+    ("x1^10001", "exponent 10001 exceeds _EXPONENT_CAP = 10000", 3),
 ]
 
 
