@@ -17,7 +17,6 @@ is known.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .grading import window_dims
@@ -30,7 +29,7 @@ from .presentation import (
     q_matrix,
     validate,
 )
-from .scalars import Fraction, ParamDecl, ScalarField
+from .scalars import Fraction, ParamDecl, ScalarField, _FrozenRecord
 
 __all__ = [
     "CatalogEntry",
@@ -71,8 +70,7 @@ _GH_STRINGS = {
 }
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_FrozenRecord):
     """One registry row: recorded strings plus optional executable builders.
 
     ``table_n`` is the series exponent as recorded (symbolic expressions in
@@ -83,16 +81,24 @@ class CatalogEntry:
     commutative case), compared entrywise during verification.
     """
 
-    key: str
-    name: str
-    table_id: int
-    table_n: str
-    gh_string: str
-    gp_string: str
-    explicit_gp: Optional[tuple] = None  # (denominator, numerators constant-first)
-    builders: tuple = ()  # ((variant_name, builder), ...)
-    stated_q_matrix: object = None  # "ones" | tuple of tuples of expressions
-    notes: tuple = ()
+    _fields = (
+        "key", "name", "table_id", "table_n", "gh_string", "gp_string",
+        "explicit_gp", "builders", "stated_q_matrix", "notes",
+    )
+
+    def __init__(
+        self, key: str, name: str, table_id: int, table_n: str, gh_string: str,
+        gp_string: str,
+        explicit_gp: Optional[tuple] = None,  # (denominator, numerators constant-first)
+        builders: tuple = (),  # ((variant_name, builder), ...)
+        stated_q_matrix: object = None,  # "ones" | tuple of tuples of expressions
+        notes: tuple = (),
+    ) -> None:
+        vars(self).update(
+            key=key, name=name, table_id=table_id, table_n=table_n,
+            gh_string=gh_string, gp_string=gp_string, explicit_gp=explicit_gp,
+            builders=builders, stated_q_matrix=stated_q_matrix, notes=notes,
+        )
 
     @property
     def executable(self) -> bool:

@@ -21,7 +21,6 @@ witnesses are reproducible byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
@@ -32,7 +31,7 @@ from .presentation import (
 )
 from . import rewrite
 from .rewrite import NCPoly
-from .scalars import ScalarField
+from .scalars import ScalarField, _FrozenRecord, _Record
 
 __all__ = [
     "FiltrationWindow",
@@ -107,8 +106,7 @@ def window_dims(presentation: AlgebraPresentation, d: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiltrationWindow:
+class FiltrationWindow(_FrozenRecord):
     """All monomials of degree <= d, ordered leading-first (descending deglex).
 
     ``basis`` lists exponent vectors sorted by (total degree, exponents)
@@ -116,9 +114,10 @@ class FiltrationWindow:
     the stars-and-bars count C(n+d, d).
     """
 
-    gens: tuple
-    d: int
-    basis: tuple
+    _fields = ("gens", "d", "basis")
+
+    def __init__(self, gens: tuple, d: int, basis: tuple) -> None:
+        vars(self).update(gens=gens, d=d, basis=basis)
 
     @property
     def n(self) -> int:
@@ -277,8 +276,7 @@ def _dense(reduced: list[dict], ncols: int) -> list[list[Fraction]]:
     return [[row.get(c, zero) for c in range(ncols)] for row in reduced]
 
 
-@dataclass
-class WindowSubspace:
+class WindowSubspace(_Record):
     """A subspace of a filtration window in reduced row echelon form.
 
     ``echelon`` holds it as back-substituted primitive integer rows, one
@@ -290,10 +288,15 @@ class WindowSubspace:
     (values apply to the declared root of each parameter).
     """
 
-    window: FiltrationWindow
-    specialization: dict
-    pivots: list
-    echelon: Echelon = dc_field(repr=False, compare=False)
+    _fields = ("window", "specialization", "pivots")
+
+    def __init__(
+        self, window: FiltrationWindow, specialization: dict, pivots: list, echelon: Echelon
+    ) -> None:
+        self.window = window
+        self.specialization = specialization
+        self.pivots = pivots
+        self.echelon = echelon
 
     @cached_property
     def rows(self) -> list[list[Fraction]]:
@@ -370,8 +373,7 @@ def left_ideal_window(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SemigradedReport:
+class SemigradedReport(_Record):
     """Outcome of the window criterion: every homogeneous component of every
     element of the subspace must itself lie in the subspace.
 
@@ -381,9 +383,12 @@ class SemigradedReport:
     reaches, so the report records the window.
     """
 
-    ok: bool
-    window_degree: int
-    witness: Optional[dict] = None
+    _fields = ("ok", "window_degree", "witness")
+
+    def __init__(self, ok: bool, window_degree: int, witness: Optional[dict] = None) -> None:
+        self.ok = ok
+        self.window_degree = window_degree
+        self.witness = witness
 
     def to_dict(self) -> dict:
         return {

@@ -17,7 +17,6 @@ floating point enters only in the logarithms of the estimator fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence, Union
@@ -26,7 +25,7 @@ from .grading import Echelon, degree_count, filtration_window
 from .presentation import AlgebraPresentation, specialize_presentation
 from . import rewrite
 from .rewrite import NCPoly
-from .scalars import SpecializationError
+from .scalars import SpecializationError, _FrozenRecord, _Record
 
 __all__ = [
     "HilbertData",
@@ -47,9 +46,12 @@ __all__ = [
 
 _POLYNOMIAL_TRUNCATION = 50
 
+# hilbert_series lists one coefficient per degree up to its bound, so the
+# time and the report grow with the bound; a bound beyond this cap is refused.
+_TRUNCATION_CAP = 10_000
 
-@dataclass
-class HilbertData:
+
+class HilbertData(_Record):
     """Exact growth data of an n-variable PBW algebra.
 
     ``truncated_coefficients[k]`` is the dimension C(n+k-1, k) of the
@@ -61,10 +63,19 @@ class HilbertData:
     coefficients and that its coefficients are strictly positive.
     """
 
-    n: int
-    series_denominator_exponent: int
-    truncated_coefficients: tuple
-    polynomial_coefficients: Optional[tuple]
+    _fields = (
+        "n", "series_denominator_exponent", "truncated_coefficients",
+        "polynomial_coefficients",
+    )
+
+    def __init__(
+        self, n: int, series_denominator_exponent: int, truncated_coefficients: tuple,
+        polynomial_coefficients: Optional[tuple],
+    ) -> None:
+        self.n = n
+        self.series_denominator_exponent = series_denominator_exponent
+        self.truncated_coefficients = truncated_coefficients
+        self.polynomial_coefficients = polynomial_coefficients
 
     @property
     def ggk(self) -> int:
@@ -122,6 +133,11 @@ def hilbert_series(presentation: AlgebraPresentation, K: int) -> HilbertData:
     """
     if K < 0:
         raise ValueError(f"truncation bound must be >= 0, got {K}")
+    if K > _TRUNCATION_CAP:
+        raise ValueError(
+            f"truncation bound {K} exceeds _TRUNCATION_CAP = {_TRUNCATION_CAP}; "
+            "the closed form gives the degree-k coefficient as C(n+k-1, k)"
+        )
     n = presentation.n
     coefficients = tuple(degree_count(n, k) for k in range(K + 1))
     polynomial = gp_coefficients(n) if n >= 1 else None
@@ -195,8 +211,7 @@ def ggk_exact(presentation: AlgebraPresentation) -> int:
     return presentation.n
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(_FrozenRecord):
     """A finite-dimensional generating subspace, given by a spanning basis.
 
     The span must contain 1 and the basis must stay linearly independent
@@ -204,15 +219,15 @@ class Frame:
     used by the estimator.
     """
 
-    basis: tuple
+    _fields = ("basis",)
 
-    def __post_init__(self) -> None:
-        if not self.basis:
+    def __init__(self, basis: tuple) -> None:
+        if not basis:
             raise ValueError("a frame needs at least one basis element")
+        vars(self).update(basis=basis)
 
 
-@dataclass
-class GkEstimate:
+class GkEstimate(_Record):
     """Fit report of the growth estimator.
 
     ``estimate`` is the least-squares slope of ln f(k) against ln k over the
@@ -223,13 +238,22 @@ class GkEstimate:
     (literal iterated products).
     """
 
-    estimate: float
-    method: str
-    k_max: int
-    sample_points: tuple
-    dims: tuple
-    pointwise: tuple
-    specialization: Optional[dict] = None
+    _fields = (
+        "estimate", "method", "k_max", "sample_points", "dims", "pointwise",
+        "specialization",
+    )
+
+    def __init__(
+        self, estimate: float, method: str, k_max: int, sample_points: tuple,
+        dims: tuple, pointwise: tuple, specialization: Optional[dict] = None,
+    ) -> None:
+        self.estimate = estimate
+        self.method = method
+        self.k_max = k_max
+        self.sample_points = sample_points
+        self.dims = dims
+        self.pointwise = pointwise
+        self.specialization = specialization
 
     def to_dict(self) -> dict:
         return {

@@ -30,16 +30,16 @@ presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import partial
-from typing import ClassVar, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .scalars import (
     ParamDecl,
     Scalar,
     ScalarField,
     SpecializationError,
+    _Record,
 )
 
 __all__ = [
@@ -86,15 +86,17 @@ class PresentationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Relation:
+class Relation(_Record):
     """Canonical relation xj*xi = c*xi*xj + sum_k linear[k]*xk + constant, i < j."""
 
-    i: int
-    j: int
-    c: Scalar
-    linear: tuple
-    constant: Scalar
+    _fields = ("i", "j", "c", "linear", "constant")
+
+    def __init__(self, i: int, j: int, c: Scalar, linear: tuple, constant: Scalar) -> None:
+        self.i = i
+        self.j = j
+        self.c = c
+        self.linear = linear
+        self.constant = constant
 
     def is_default(self, field: ScalarField) -> bool:
         return (
@@ -107,8 +109,7 @@ class Relation:
         return bool(any(self.linear) or self.constant)
 
 
-@dataclass
-class AlgebraPresentation:
+class AlgebraPresentation(_Record):
     """A named algebra given by generators and canonical pair relations.
 
     ``relations`` is complete: every pair (i, j) with i < j has an entry
@@ -116,14 +117,17 @@ class AlgebraPresentation:
     return new presentations.
     """
 
-    name: str
-    field: ScalarField
-    gens: tuple
-    relations: dict
-    _caches: Optional[dict] = dc_field(default=None, compare=False, repr=False)
+    _fields = ("name", "field", "gens", "relations")
 
     #: Scalars commute with the generators (no twisting maps act on them).
-    coefficient_action: ClassVar[str] = "central"
+    coefficient_action = "central"
+
+    def __init__(self, name: str, field: ScalarField, gens: tuple, relations: dict) -> None:
+        self.name = name
+        self.field = field
+        self.gens = gens
+        self.relations = relations
+        self._caches: Optional[dict] = None
 
     @property
     def n(self) -> int:
@@ -158,13 +162,17 @@ def make_presentation(
     return AlgebraPresentation(name, field, gens, complete)
 
 
-@dataclass
-class Finding:
-    severity: str  # "error" | "warning" | "info"
-    code: str
-    message: str
-    line: int = 0
-    col: int = 0
+class Finding(_Record):
+    _fields = ("severity", "code", "message", "line", "col")
+
+    def __init__(
+        self, severity: str, code: str, message: str, line: int = 0, col: int = 0
+    ) -> None:
+        self.severity = severity  # "error" | "warning" | "info"
+        self.code = code
+        self.message = message
+        self.line = line
+        self.col = col
 
     def to_dict(self) -> dict:
         d = {"severity": self.severity, "code": self.code, "message": self.message}
@@ -175,13 +183,15 @@ class Finding:
         return d
 
 
-@dataclass
-class Diagnostics:
+class Diagnostics(_Record):
     """Validation outcome: findings plus structural classification flags."""
 
-    findings: list
-    quasi_commutative: bool
-    bijective: bool
+    _fields = ("findings", "quasi_commutative", "bijective")
+
+    def __init__(self, findings: list, quasi_commutative: bool, bijective: bool) -> None:
+        self.findings = findings
+        self.quasi_commutative = quasi_commutative
+        self.bijective = bijective
 
     @property
     def valid(self) -> bool:
@@ -203,12 +213,14 @@ class Diagnostics:
 _PUNCT = set("{}(),;:=+-*/^")
 
 
-@dataclass
-class _Token:
-    kind: str  # "name" | "int" | one of _PUNCT | "eof"
-    text: str
-    line: int
-    col: int
+class _Token(_Record):
+    _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind  # "name" | "int" | one of _PUNCT | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> list:
@@ -300,6 +312,10 @@ class _Cursor:
 # grows with the exponent; an exponent beyond this cap is refused.
 _EXPONENT_CAP = 10_000
 
+# Each parenthesis costs four nested calls of the recursive-descent parser,
+# so deeper nesting is refused well before Python's recursion limit.
+_NESTING_CAP = 100
+
 
 def _add(field, p, q):
     out = dict(p)
@@ -358,6 +374,7 @@ class _ExprParser:
         self.keys = keys
         self.one_key = one_key
         self.mul = mul
+        self.depth = 0
 
     def parse_expr(self):
         cur = self.cur
@@ -442,8 +459,12 @@ class _ExprParser:
                 return {self.one_key: self.field.parameter(tok.text)}, tok.text
             cur.fail(f"unknown name {tok.text!r}", tok)
         if tok.kind == "(":
+            if self.depth == _NESTING_CAP:
+                cur.fail(f"parentheses nested deeper than _NESTING_CAP = {_NESTING_CAP}", tok)
             cur.take()
+            self.depth += 1
             value = self.parse_expr()
+            self.depth -= 1
             cur.expect(")")
             return value, None
         cur.fail(f"expected a value, found {tok.text or tok.kind!r}")

@@ -38,13 +38,12 @@ scalars over denominator 1.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping
+from typing import Mapping, Optional
 
 from .presentation import AlgebraPresentation, format_element
+from .scalars import _Record
 
 __all__ = [
     "NCPoly",
@@ -533,8 +532,7 @@ def free_to_normal_form(presentation: AlgebraPresentation, free: Mapping) -> NCP
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PbwReport:
+class PbwReport(_Record):
     """Outcome of bounded-degree consistency checks for a presentation.
 
     ``ok`` means every generator triple reassociated identically and all
@@ -544,12 +542,21 @@ class PbwReport:
     random triples are a cross-check of the engine, not part of the proof.
     """
 
-    ok: bool
-    triples_checked: int
-    sample_triples_checked: int
-    degree_bound: int
-    seed: int
-    failures: list = dc_field(default_factory=list)
+    _fields = (
+        "ok", "triples_checked", "sample_triples_checked", "degree_bound", "seed",
+        "failures",
+    )
+
+    def __init__(
+        self, ok: bool, triples_checked: int, sample_triples_checked: int,
+        degree_bound: int, seed: int, failures: Optional[list] = None,
+    ) -> None:
+        self.ok = ok
+        self.triples_checked = triples_checked
+        self.sample_triples_checked = sample_triples_checked
+        self.degree_bound = degree_bound
+        self.seed = seed
+        self.failures = [] if failures is None else failures
 
     def to_dict(self) -> dict:
         return {
@@ -615,8 +622,12 @@ def check_pbw(
                         "left": format_element(left.terms, gens, p.field),
                         "right": format_element(right.terms, gens, p.field),
                     })
-    rng = random.Random(seed)
     sampled = 0
+    if samples > 0:
+        # an overlaps-only check (samples=0, as the CLI's gate runs) skips the import
+        import random
+
+        rng = random.Random(seed)
     for _ in range(samples):
         a = random_element(p, rng, max_degree=degree_bound)
         b = random_element(p, rng, max_degree=degree_bound)

@@ -26,7 +26,6 @@ cancel the gcd of two multi-term polynomials, as in ``(q^2 - nu^2)/(q - nu)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import add, sub
@@ -52,8 +51,53 @@ def _is_identifier(name: str) -> bool:
     return name.isidentifier() and not name[0].isdigit()
 
 
-@dataclass(frozen=True)
-class ParamDecl:
+class _Record:
+    """Field-wise ``==`` and ``repr`` for the package's plain record classes.
+
+    A subclass lists in ``_fields``, in constructor order, the fields that
+    equality and the repr cover; other attributes, such as scratch caches,
+    take no part.  Records compare equal only to records of the same class
+    and are unhashable; frozen ones derive from :class:`_FrozenRecord`.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+
+class _FrozenRecord(_Record):
+    """An immutable :class:`_Record`, hashed by its fields.
+
+    ``__init__`` stores the fields through ``vars(self)``; any later
+    assignment or deletion raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class ParamDecl(_FrozenRecord):
     """Declaration of one central parameter.
 
     ``invertible`` marks parameters whose specialized values must be nonzero.
@@ -62,15 +106,14 @@ class ParamDecl:
     k-th power.
     """
 
-    name: str
-    invertible: bool = False
-    root_order: int = 1
+    _fields = ("name", "invertible", "root_order")
 
-    def __post_init__(self) -> None:
-        if not _is_identifier(self.name):
-            raise ValueError(f"parameter name {self.name!r} is not an identifier")
-        if self.root_order < 1:
-            raise ValueError(f"root_order must be >= 1, got {self.root_order}")
+    def __init__(self, name: str, invertible: bool = False, root_order: int = 1) -> None:
+        if not _is_identifier(name):
+            raise ValueError(f"parameter name {name!r} is not an identifier")
+        if root_order < 1:
+            raise ValueError(f"root_order must be >= 1, got {root_order}")
+        vars(self).update(name=name, invertible=invertible, root_order=root_order)
 
 
 Scalar = Union[Fraction, "ParamScalar"]

@@ -421,3 +421,47 @@ def test_a_huge_exponent_is_refused_in_bounded_time(files, package_env):
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "_EXPONENT_CAP" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, cap", [
+    (("nf", "dispin", "(" * 3000 + "x1" + ")" * 3000), "_NESTING_CAP"),
+    (("hilbert", "dispin", "--trunc", "100000000"), "_TRUNCATION_CAP"),
+], ids=["nesting", "trunc"])
+def test_input_past_a_cap_is_refused_in_bounded_time(files, package_env, argv, cap):
+    # the parser recurses once per parenthesis; the series lists one
+    # coefficient per degree
+    command, name, *rest = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "semigraded", command, files[name], *rest,
+         "--format", "json"],
+        capture_output=True, text=True, env=package_env, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert cap in proc.stderr
+
+
+NO_DATACLASSES = '''
+import sys
+from semigraded.cli import main
+for argv in ARGVS:
+    assert main(argv + ["--format", "json"]) == 0, argv
+assert "dataclasses" not in sys.modules, "an sgr call imported dataclasses"
+'''
+
+
+def test_sgr_calls_never_import_dataclasses(files, package_env):
+    # importing dataclasses (and with it inspect, dis and tokenize) is a
+    # start-up cost every call would pay; a fresh interpreter, since this
+    # one may have imported it already
+    dispin = files["dispin"]
+    argvs = [
+        ["nf", dispin, "(x1+x2+x3)^3"],
+        ["hilbert", dispin, "--poly"],
+        ["gkdim", dispin, "--frame", "1,x1,x2,x3", "--kmax", "12"],
+        ["catalog", "verify"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"ARGVS = {argvs!r}\n{NO_DATACLASSES}"],
+        capture_output=True, text=True, env=package_env,
+    )
+    assert proc.returncode == 0, proc.stderr

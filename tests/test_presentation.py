@@ -4,7 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from semigraded.catalog import catalog_entry
+from semigraded.grading import is_semigraded_window, left_ideal_window
+from semigraded.invariants import Frame, ggk_estimate, hilbert_series
 from semigraded.presentation import (
+    Finding,
     PresentationError,
     associated_graded,
     make_presentation,
@@ -16,6 +20,7 @@ from semigraded.presentation import (
     specialize_presentation,
     validate,
 )
+from semigraded.rewrite import PbwReport, check_pbw, nc_mul, variable
 from semigraded.scalars import ParamDecl, ScalarField
 
 USO3 = """
@@ -250,6 +255,7 @@ EXPRESSION_ERRORS = [
     ("x1/0", "division by zero", 3),
     ("x1^(1/2)", "fractional exponent on a non-parameter", 3),
     ("x1^10001", "exponent 10001 exceeds _EXPONENT_CAP = 10000", 3),
+    ("(" * 101 + "x1" + ")" * 101, "parentheses nested deeper than _NESTING_CAP = 100", 101),
 ]
 
 
@@ -284,3 +290,50 @@ def test_duplicate_and_bad_generators_rejected():
 def test_unknown_name_in_relation_rejected():
     with pytest.raises(PresentationError):
         parse_presentation("algebra a { vars: x1, x2; rel: x2*x1 = x1*x9; }")
+
+
+def test_records_compare_hash_and_print_by_their_fields():
+    decl = ParamDecl("q", invertible=True, root_order=2)
+    assert repr(decl) == "ParamDecl(name='q', invertible=True, root_order=2)"
+    assert decl == ParamDecl("q", True, 2) and decl != ParamDecl("q")
+    assert hash(decl) == hash(ParamDecl("q", True, 2))
+    with pytest.raises(ValueError, match="not an identifier"):
+        ParamDecl("2q")
+    with pytest.raises(ValueError, match="root_order"):
+        ParamDecl("q", root_order=0)
+    with pytest.raises(ValueError, match="at least one basis element"):
+        Frame(())
+    finding = Finding("error", "c", "m")
+    assert repr(finding) == "Finding(severity='error', code='c', message='m', line=0, col=0)"
+    assert finding == Finding("error", "c", "m", 0, 0) and finding != ("error", "c", "m", 0, 0)
+
+    # scratch state takes no part in equality or repr
+    p, q = parse_presentation(DISPIN), parse_presentation(DISPIN)
+    nc_mul(p, variable(p, 2), variable(p, 0))
+    assert p.runtime_caches() and not q.runtime_caches()
+    assert p == q and repr(p) == repr(q)
+    assert repr(p).startswith("AlgebraPresentation(name='dispin', field=ScalarField(), gens=")
+    assert "_caches" not in repr(p)
+    window = left_ideal_window(p, [parse_element(p, "x1")], 2)
+    other = left_ideal_window(q, [parse_element(q, "x1")], 2)
+    other.echelon = None
+    assert window == other and "echelon" not in repr(window)
+
+    frame = Frame((parse_element(p, "1"),))
+    for record, field in (
+        (decl, "name"), (window.window, "d"), (frame, "basis"),
+        (catalog_entry("dispin"), "key"),
+    ):
+        assert hash(record) == hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    for record in (
+        p, p.relation(0, 1), finding, validate(p), check_pbw(p, samples=0), window,
+        is_semigraded_window(window), hilbert_series(p, 2), ggk_estimate(p, k_max=8),
+    ):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+    first, second = PbwReport(True, 1, 0, 3, 0), PbwReport(True, 1, 0, 3, 0)
+    first.failures.append("x")
+    assert second.failures == []
