@@ -23,12 +23,18 @@ failures, overlaps that do not resolve, a cap), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
 from fractions import Fraction
 from typing import Optional
+
+try:
+    # hashlib loads the OpenSSL binding on every call; the builtin module
+    # gives the same digest (as random does for _sha512)
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 names it _sha2
+    from hashlib import sha256
 
 from .catalog import (
     DEFAULT_BINDINGS,
@@ -441,7 +447,7 @@ def main(argv: Optional[list] = None) -> int:
         results, warnings, ok = args.run(subject, args)
         report = {
             "command": command,
-            "fingerprint": hashlib.sha256(identity.encode("utf-8")).hexdigest(),
+            "fingerprint": sha256(identity.encode("utf-8")).hexdigest(),
             "results": results,
             "warnings": warnings,
             "timing_ms": None,

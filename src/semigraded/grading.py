@@ -327,6 +327,12 @@ class WindowSubspace(_Record):
         }
 
 
+# The work of an ideal window grows with its dimension C(n+d, d), not with d
+# alone: dispin at d = 40 (dimension 12,341) takes seconds, at d = 60 about
+# half a minute.  A larger window is refused.
+_WINDOW_DIMENSION_CAP = 10_000
+
+
 def left_ideal_window(
     presentation: AlgebraPresentation,
     generators: Sequence[NCPoly],
@@ -342,7 +348,16 @@ def left_ideal_window(
     Each product is taken on the rewrite engine's packed monomials and
     enters one echelon as an integer row keyed by column; a row's scale
     does not change its span, so the product's denominator is dropped.
+    A window of dimension above ``_WINDOW_DIMENSION_CAP`` raises
+    ``ValueError``.
     """
+    dimension = comb(presentation.n + d, presentation.n) if d >= 0 else 0
+    if dimension > _WINDOW_DIMENSION_CAP:
+        raise ValueError(
+            f"an ideal window of degree {d} in {presentation.n} variables has "
+            f"dimension {dimension} (> _WINDOW_DIMENSION_CAP = "
+            f"{_WINDOW_DIMENSION_CAP}); lower the window degree"
+        )
     spec_pres, full = specialize_presentation(presentation, specialization)
     window = filtration_window(spec_pres, d)
     eng = rewrite._engine(spec_pres)

@@ -233,6 +233,7 @@ class _Engine:
         self.shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
         self.mask = (1 << _FIELD_BITS) - 1
         self.unit = [1 << s for s in self.shifts]
+        self.letter = {u: i for i, u in enumerate(self.unit)}
         self.limit = [u << _FIELD_BITS for u in self.unit]
         self.tag = [i << self.bits for i in range(n)]
         self.rational = not p.field.params
@@ -342,14 +343,23 @@ class _Engine:
         if self.integral:
             out: dict = {}
             get = out.get
+            # _acc inlined: this is the engine's innermost loop
             for m, cf in value.items():
                 if m < lim:
-                    _acc(out, m + unit, cf)
+                    m += unit
+                    cur = get(m)
+                    if cur is None:
+                        out[m] = cf
+                    else:
+                        cur += cf
+                        if cur:
+                            out[m] = cur
+                        else:
+                            del out[m]
                     continue
                 product = var.get(m + tag)
                 if product is None:
                     product = self._peel(i, m)
-                # _acc inlined: this is the engine's innermost loop
                 for m2, c2 in product.items():
                     cur = get(m2)
                     if cur is None:
@@ -388,12 +398,33 @@ class _Engine:
 
     def product(self, p_terms: Mapping, q_terms: Mapping) -> tuple[dict, int]:
         """Normal form of ``p * q`` on packed keys as ``(numerators, den)``,
-        reduced.  Over Q the inputs' coefficients are ``int``."""
+        reduced.  Over Q the inputs' coefficients are ``int``.
+
+        A constant term of ``p`` scales ``q``.  A one-letter term x_i
+        shifts the terms ``beta`` of ``q`` that need no rewriting, all in
+        one part, and takes the other ``x_i * beta`` from
+        :meth:`var_times_monomial`.  Only longer terms reach
+        :meth:`monomial_product` and its ``_pair`` memo.
+        """
         q_items = list(q_terms.items())
+        letter, times = self.letter, self.var_times_monomial
         parts = []
         for alpha, ca in p_terms.items():
-            for beta, cb in q_items:
-                parts.append((ca * cb, self.monomial_product(alpha, beta)))
+            i = letter.get(alpha)
+            if i is not None:
+                lim, unit = self.limit[i], self.unit[i]
+                shifted = {}
+                for beta, cb in q_items:
+                    if beta < lim:
+                        shifted[beta + unit] = ca * cb
+                    else:
+                        parts.append((ca * cb, times(i, beta)))
+                parts.append((self.one, shifted))
+            elif alpha:
+                for beta, cb in q_items:
+                    parts.append((ca * cb, self.monomial_product(alpha, beta)))
+            else:
+                parts.append((ca, q_terms))
         return _sum_over(parts, 1)
 
     def mixed_product(self, p_terms: Mapping, q_terms: Mapping) -> dict:

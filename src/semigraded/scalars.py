@@ -17,18 +17,30 @@ A field with no parameters degenerates to Q itself and its elements are plain
 above.  (The rewriting engine computes with integral coefficients as ``int``
 internally, but widens its results back, so every element it returns is a
 ``Fraction``.)  Parametric elements are native sparse polynomials, dicts from
-exponent tuples to ints, with the monomial part of the denominator kept as
+monomial keys to ints, with the monomial part of the denominator kept as
 negative exponents of the numerator (a Laurent form).  Products, sums and
 quotients whose denominators are monomials times integers therefore cancel
 by exponent arithmetic and integer gcd alone.  sympy is imported only to
 cancel the gcd of two multi-term polynomials, as in ``(q^2 - nu^2)/(q - nu)``.
+
+A monomial key is one ``int``, a packed exponent vector (as in the rewrite
+engine): with one parameter it is the exponent itself; with m > 1 each
+exponent owns a signed field of ``_FIELD_BITS`` bits, the first parameter
+highest, and the total degree sits above them all, so comparing keys
+compares monomials in graded-lex order.  The key is linear in the exponents:
+multiplying monomials adds their keys and dividing subtracts them.  With
+m > 1 an exponent of ``_PARAM_EXPONENT_LIMIT`` (2^28) or more in magnitude is
+refused with a ``ValueError`` wherever a scalar is made, so that every
+intermediate key of an operation still fits its fields.  Exponent tuples
+appear only at the public boundary: ``num``, ``den``, ``scalar_normalize``,
+``evaluate`` and the sympy cancellation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import add, sub
+from operator import mul
 from typing import Mapping, Optional, Union
 
 __all__ = [
@@ -118,6 +130,21 @@ class ParamDecl(_FrozenRecord):
 
 Scalar = Union[Fraction, "ParamScalar"]
 
+# With m > 1 parameters a monomial key gives each exponent a signed field of
+# _FIELD_BITS bits.  Stored exponents stay below _PARAM_EXPONENT_LIMIT in
+# magnitude; an operation combines at most three shifts of them (a product,
+# then two monomial divisions inside normalize), which stays below 2^31.
+_FIELD_BITS = 32
+_PARAM_EXPONENT_LIMIT = 1 << 28
+
+
+def _exponent_overflow(exponents) -> ValueError:
+    return ValueError(
+        f"parameter exponents {tuple(exponents)} reach the scalar field's limit "
+        f"_PARAM_EXPONENT_LIMIT = 2^28: with several parameters, exponents are "
+        f"packed into {_FIELD_BITS}-bit signed fields; use smaller exponents"
+    )
+
 
 class ScalarField:
     """Q(p_1, ..., p_m) with exact canonical-fraction arithmetic.
@@ -139,11 +166,27 @@ class ScalarField:
         self.params = params
         self._index = {decl.name: i for i, decl in enumerate(params)}
         if params:
-            self._origin = (0,) * len(params)
+            m = len(params)
+            # the key of each parameter's root indeterminate; the key of an
+            # exponent vector is sum(e_i * units[i])
+            top = 1 << (_FIELD_BITS * m)
+            self._units = (1,) if m == 1 else tuple(
+                (1 << (_FIELD_BITS * (m - 1 - i))) + top for i in range(m)
+            )
+            # key + _offset has bits at or above _PARAM_EXPONENT_LIMIT * 2 in
+            # an exponent field (_guard) exactly when that exponent is out of
+            # range; no field can overflow when there is one parameter
+            fields = [_FIELD_BITS * i for i in range(m)] if m > 1 else []
+            self._offset = sum(_PARAM_EXPONENT_LIMIT << s for s in fields)
+            self._guard = sum(
+                ((1 << _FIELD_BITS) - 2 * _PARAM_EXPONENT_LIMIT) << s for s in fields
+            )
             # the one denominator of every element with denominator 1
-            self._unit = {self._origin: 1}
+            self._unit = {0: 1}
+            # printed text of each monomial key, built once
+            self._texts: dict = {}
             self.zero: Scalar = ParamScalar(self, {}, self._unit)
-            self.one: Scalar = ParamScalar(self, {self._origin: 1}, self._unit)
+            self.one: Scalar = ParamScalar(self, {0: 1}, self._unit)
         else:
             self.zero = Fraction(0)
             self.one = Fraction(1)
@@ -169,7 +212,7 @@ class ScalarField:
     def from_int(self, k: int) -> Scalar:
         if not self.params:
             return Fraction(k)
-        return ParamScalar(self, {self._origin: k} if k else {}, self._unit)
+        return ParamScalar(self, {0: k} if k else {}, self._unit)
 
     def from_fraction(self, q: Fraction) -> Scalar:
         if not self.params:
@@ -193,7 +236,7 @@ class ScalarField:
     def normalize(self, num, den=None) -> Scalar:
         """Canonical reduced fraction num/den.
 
-        ``num`` and ``den`` are ints or sparse polynomials ``{exponent tuple:
+        ``num`` and ``den`` are ints or sparse polynomials ``{monomial key:
         int}`` in the root indeterminates; negative exponents (Laurent
         monomials) are allowed.  The dicts are not modified, and the result
         may keep them, so callers must not modify them afterwards.
@@ -204,48 +247,124 @@ class ScalarField:
             return Fraction(n, d)
         num = self._poly(num)
         if den is None or den is self._unit:
-            return ParamScalar(self, num, self._unit) if num else self.zero
+            if not num:
+                return self.zero
+            if self._guard:
+                self._check(num)
+            return ParamScalar(self, num, self._unit)
         den = self._poly(den)
         if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         if not num:
             return self.zero
         # the monomial factor of the denominator becomes negative exponents
-        low = _low(den)
-        if any(low):
+        low = self._low(den)
+        if low:
             den = _shift(den, low)
             num = _shift(num, low)
         if len(den) == 1:
-            c = den[self._origin]
+            c = den[0]
             g = gcd(c, *num.values())
             if c < 0:
                 g = -g
             if g != 1:
                 num = {e: v // g for e, v in num.items()}
                 c //= g
-            return ParamScalar(self, num, self._unit if c == 1 else {self._origin: c})
+            return self._stored(num, self._unit if c == 1 else {0: c})
         g = gcd(*num.values(), *den.values())
         if g != 1:
             num = {e: v // g for e, v in num.items()}
             den = {e: v // g for e, v in den.items()}
         if len(num) > 1:
             # a monomial and den (which has no monomial factor) share no factor
-            low = _low(num)
-            num, den = _cancel(_shift(num, low), den)
-            num = _shift(num, tuple(-e for e in low))
-        if den[max(den, key=_grlex)] < 0:
+            low = self._low(num)
+            num, den = self._cancel(_shift(num, low), den)
+            num = _shift(num, -low)
+        # keys order monomials in graded-lex order
+        if den[max(den)] < 0:
             num = {e: -v for e, v in num.items()}
             den = {e: -v for e, v in den.items()}
         if den == self._unit:
             den = self._unit
+        return self._stored(num, den)
+
+    def _stored(self, num: dict, den: dict) -> "ParamScalar":
+        """The element num/den, once its exponents are checked to be in range."""
+        if self._guard:
+            self._check(num)
+            if den is not self._unit:
+                self._check(den)
         return ParamScalar(self, num, den)
+
+    def _check(self, p: dict) -> None:
+        """Refuse a polynomial with an exponent out of range (m > 1)."""
+        offset, guard = self._offset, self._guard
+        for e in p:
+            if (e + offset) & guard:
+                raise _exponent_overflow(self._exponents(e))
 
     def _poly(self, p) -> dict:
         if isinstance(p, int):
-            return {self._origin: p} if p else {}
+            return {0: p} if p else {}
         if 0 in p.values():
             return {e: c for e, c in p.items() if c}
         return p
+
+    # -- monomial keys ----------------------------------------------------
+
+    def _key(self, exponents) -> int:
+        """The key of an exponent vector, unchecked."""
+        return sum(map(mul, exponents, self._units))
+
+    def _checked_key(self, exponents) -> int:
+        """The key of an exponent vector from outside the field's arithmetic."""
+        exponents = tuple(exponents)
+        if len(self._units) > 1 and any(
+            not -_PARAM_EXPONENT_LIMIT <= e < _PARAM_EXPONENT_LIMIT for e in exponents
+        ):
+            raise _exponent_overflow(exponents)
+        return self._key(exponents)
+
+    def _exponents(self, key: int) -> tuple:
+        """The exponent vector of a key."""
+        m = len(self._units)
+        if m == 1:
+            return (key,)
+        half = 1 << (_FIELD_BITS - 1)
+        mask = (1 << _FIELD_BITS) - 1
+        out = [0] * m
+        for i in range(m - 1, -1, -1):
+            e = ((key + half) & mask) - half
+            out[i] = e
+            key = (key - e) >> _FIELD_BITS
+        return tuple(out)
+
+    def _pack(self, p: Mapping) -> dict:
+        """``{exponent tuple: int}`` on keys."""
+        return {self._checked_key(e): c for e, c in p.items()}
+
+    def _unpack(self, p: Mapping) -> dict:
+        """``{key: int}`` on exponent tuples."""
+        return {self._exponents(e): c for e, c in p.items()}
+
+    def _low(self, p: dict) -> int:
+        """Key of the componentwise minimum exponent: the largest monomial
+        dividing p."""
+        if len(self._units) == 1 or len(p) == 1:
+            return min(p)
+        return self._key(map(min, zip(*map(self._exponents, p))))
+
+    def _cancel(self, p: dict, q: dict) -> tuple[dict, dict]:
+        """(p/g, q/g) for g the gcd of two polynomials, by sympy."""
+        from sympy.polys import ZZ, grlex, ring
+
+        r = ring(",".join(f"x{i}" for i in range(self.m)), ZZ, order=grlex)[0]
+        _, pg, qg = r.from_dict(self._unpack(p)).cofactors(r.from_dict(self._unpack(q)))
+        key = self._key
+        return (
+            {key(e): int(c) for e, c in pg.items()},
+            {key(e): int(c) for e, c in qg.items()},
+        )
 
     def parameter(self, name: str) -> Scalar:
         """The parameter itself (the root indeterminate raised to root_order)."""
@@ -272,9 +391,9 @@ class ScalarField:
         return self._monomial(index, numer * (decl.root_order // denom))
 
     def _monomial(self, index: int, exponent: int) -> Scalar:
-        exp = list(self._origin)
+        exp = [0] * self.m
         exp[index] = exponent
-        return ParamScalar(self, {tuple(exp): 1}, self._unit)
+        return ParamScalar(self, {self._checked_key(exp): 1}, self._unit)
 
     # -- specialization ---------------------------------------------------
 
@@ -325,16 +444,17 @@ class ScalarField:
         if not self.params:
             return Fraction(x)
         values = [full[decl.name] for decl in self.params]
+        num = self._unpack(x._num)
         vanishes = any(
-            v == 0 and any(e[i] < 0 for e in x._num) for i, v in enumerate(values)
+            v == 0 and any(e[i] < 0 for e in num) for i, v in enumerate(values)
         )
-        den = _eval_poly(x._den, values)
+        den = _eval_poly(self._unpack(x._den), values)
         if vanishes or den == 0:
             raise SpecializationError(
                 f"denominator {self.format(x)} vanishes under "
                 + _format_assignment(full)
             )
-        return _eval_poly(x._num, values) / den
+        return _eval_poly(num, values) / den
 
     # -- formatting -------------------------------------------------------
 
@@ -342,16 +462,20 @@ class ScalarField:
         """Canonical, re-parseable text for a scalar."""
         if not self.params:
             return str(Fraction(x))
+        return self._format(x)[0]
+
+    def _format(self, x: "ParamScalar") -> tuple[str, bool]:
+        """(text, whether the text is a sum outside parentheses)."""
         num, den = x._fraction()
         num_s = self._format_poly(num)
         if den == self._unit:
-            return num_s
+            return num_s, len(num) > 1
         den_s = self._format_poly(den)
         if len(num) > 1:
             num_s = f"({num_s})"
         if _top_level(den_s, "*/+-"):
             den_s = f"({den_s})"
-        return f"{num_s}/{den_s}"
+        return f"{num_s}/{den_s}", False
 
     def format_coefficient(self, x: Scalar) -> tuple[bool, str]:
         """(negated, body) for use as a coefficient inside a printed sum.
@@ -359,28 +483,33 @@ class ScalarField:
         ``body`` is safe to follow with ``*monomial``; ``negated`` means the
         term should be joined with a minus sign.
         """
-        s = self.format(x)
-        core = s[1:] if s.startswith("-") else s
-        if _top_level(core, "+-"):
+        # a rational prints as "-a/b" at most, never as a sum
+        s, is_sum = self._format(x) if self.params else (str(Fraction(x)), False)
+        if is_sum:
             return False, f"({s})"
         if s.startswith("-"):
-            return True, core
+            return True, s[1:]
         return False, s
 
     def _format_poly(self, p: dict) -> str:
         if not p:
             return "0"
+        texts = self._texts
         chunks: list[str] = []
-        for monom in sorted(p, key=_grlex, reverse=True):
-            c = p[monom]
+        for key in sorted(p, reverse=True):
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = "*".join(
+                    self._power_str(i, e) for i, e in enumerate(self._exponents(key)) if e
+                )
+            c = p[key]
             mag = abs(c)
-            parts: list[str] = []
-            if mag != 1 or not any(monom):
-                parts.append(str(mag))
-            for i, e in enumerate(monom):
-                if e:
-                    parts.append(self._power_str(i, e))
-            body = "*".join(parts)
+            if not text:
+                body = str(mag)
+            elif mag == 1:
+                body = text
+            else:
+                body = f"{mag}*{text}"
             if not chunks:
                 chunks.append(f"-{body}" if c < 0 else body)
             else:
@@ -403,10 +532,13 @@ class ParamScalar:
     """Canonical fraction of integer polynomials in the root indeterminates.
 
     Stored as a Laurent numerator ``_num`` (exponents may be negative) over a
-    denominator ``_den`` with no monomial factor, both ``{exponent tuple:
-    int}``; ``_den`` is the field's shared unit dict when it is 1.  ``num``
-    and ``den`` give the classical coprime pair (the monomial part moved back
-    into the denominator).  Instances are produced normalized (see
+    denominator ``_den`` with no monomial factor, both ``{monomial key:
+    int}``, each key the field's packed exponent vector (see the module
+    docstring), so that a product of monomials is a sum of keys and the
+    largest key is the graded-lex leading monomial; ``_den`` is the field's
+    shared unit dict when it is 1.  ``num`` and ``den`` give the classical
+    coprime pair on exponent tuples (the monomial part moved back into the
+    denominator).  Instances are produced normalized (see
     :meth:`ScalarField.normalize`) and treated as immutable.
     """
 
@@ -420,20 +552,25 @@ class ParamScalar:
     def _fraction(self) -> tuple[dict, dict]:
         if not self._num:
             return {}, self._den
-        shift = tuple(min(e, 0) for e in _low(self._num))
-        if not any(shift):
+        field = self.field
+        low = field._low(self._num)
+        if len(field._units) == 1:
+            shift = min(low, 0)
+        else:
+            shift = field._key(min(e, 0) for e in field._exponents(low))
+        if not shift:
             return self._num, self._den
         return _shift(self._num, shift), _shift(self._den, shift)
 
     @property
     def num(self) -> dict:
         """Numerator polynomial {exponent tuple: int} of the reduced fraction."""
-        return dict(self._fraction()[0])
+        return self.field._unpack(self._fraction()[0])
 
     @property
     def den(self) -> dict:
         """Denominator polynomial {exponent tuple: int} of the reduced fraction."""
-        return dict(self._fraction()[1])
+        return self.field._unpack(self._fraction()[1])
 
     # All binary ops accept int/Fraction and same-field ParamScalar.
 
@@ -475,6 +612,11 @@ class ParamScalar:
             return NotImplemented
         d1, d2 = self._den, o._den
         unit = self.field._unit
+        # the numerator of one is the unit dict's twin
+        if d2 is unit and o._num == unit:
+            return self
+        if d1 is unit and self._num == unit:
+            return o
         return self.field.normalize(
             _mul(self._num, o._num),
             unit if d1 is unit and d2 is unit else _mul(d1, d2),
@@ -499,13 +641,14 @@ class ParamScalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        num, den, unit = self._num, self._den, self.field._unit
+        field = self.field
+        num, den, unit = self._num, self._den, field._unit
         if k < 0:
             if not num:
                 raise ZeroDivisionError("zero scalar has no negative powers")
             num, den, k = den, num, -k
-        return self.field.normalize(
-            _pow(num, k, unit), unit if den is unit else _pow(den, k, unit)
+        return field.normalize(
+            _pow(field, num, k), unit if den is unit else _pow(field, den, k)
         )
 
     def __neg__(self):
@@ -536,12 +679,13 @@ class ParamScalar:
 def scalar_normalize(field: ScalarField, num, den=None) -> Scalar:
     """Canonical reduced fraction of two integer-coefficient polynomials.
 
-    Dict arguments are copied, so the caller may modify them afterwards.
+    Dict arguments map exponent tuples to ints; they are copied, so the
+    caller may modify them afterwards.
     """
     if isinstance(num, dict):
-        num = dict(num)
+        num = field._pack(num)
     if isinstance(den, dict):
-        den = dict(den)
+        den = field._pack(den)
     return field.normalize(num, den)
 
 
@@ -574,31 +718,21 @@ def scalar_specialize(
     return field.specialize(x, assignment)
 
 
-# -- sparse integer polynomials {exponent tuple: nonzero int} --------------
+# -- sparse integer polynomials {monomial key: nonzero int} ---------------
 
 
-def _grlex(exp: tuple) -> tuple:
-    return (sum(exp), exp)
-
-
-def _low(p: dict) -> tuple:
-    """Componentwise minimum exponent: the largest monomial dividing p."""
-    return tuple(map(min, zip(*p)))
-
-
-def _shift(p: dict, exp: tuple) -> dict:
-    """p divided by the monomial with exponents ``exp``."""
-    return {tuple(map(sub, e, exp)): c for e, c in p.items()}
+def _shift(p: dict, key: int) -> dict:
+    """p divided by the monomial with key ``key``."""
+    return {e - key: c for e, c in p.items()}
 
 
 def _add(a: dict, b: dict) -> dict:
     out = dict(a)
+    get = out.get
     for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
+        out[e] = get(e, 0) + c
+    if 0 in out.values():
+        return {e: c for e, c in out.items() if c}
     return out
 
 
@@ -609,42 +743,34 @@ def _mul(a: dict, b: dict) -> dict:
         return {}
     if len(b) == 1:
         ((eb, cb),) = b.items()
-        if not any(eb):
+        if not eb:
             return a if cb == 1 else {e: c * cb for e, c in a.items()}
-        return {tuple(map(add, e, eb)): c * cb for e, c in a.items()}
+        return {e + eb: c * cb for e, c in a.items()}
     out: dict = {}
     get = out.get
+    b_items = list(b.items())
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(add, ea, eb))
-            s = get(e, 0) + ca * cb
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+        for eb, cb in b_items:
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    if 0 in out.values():
+        return {e: c for e, c in out.items() if c}
     return out
 
 
-def _pow(p: dict, k: int, one: dict) -> dict:
+def _pow(field: ScalarField, p: dict, k: int) -> dict:
+    """p^k, each exponent checked against the field's limit on the way."""
     if len(p) == 1:
         ((e, c),) = p.items()
-        return {tuple(x * k for x in e): c**k}
-    result = one
+        if field._guard:
+            return {field._checked_key(x * k for x in field._exponents(e)): c**k}
+        return {e * k: c**k}
+    result = field._unit
     for _ in range(k):
         result = _mul(result, p)
+        if field._guard:
+            field._check(result)
     return result
-
-
-def _cancel(p: dict, q: dict) -> tuple[dict, dict]:
-    """(p/g, q/g) for g the gcd of two polynomials, by sympy."""
-    from sympy.polys import ZZ, grlex, ring
-
-    r = ring(",".join(f"x{i}" for i in range(len(next(iter(p))))), ZZ, order=grlex)[0]
-    _, pg, qg = r.from_dict(p).cofactors(r.from_dict(q))
-    return (
-        {tuple(e): int(c) for e, c in pg.items()},
-        {tuple(e): int(c) for e, c in qg.items()},
-    )
 
 
 def _eval_poly(p: dict, values: list[Fraction]) -> Fraction:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from semigraded.catalog import build_dispin, build_uso3
+from semigraded.catalog import build_dispin, build_quantum_space, build_uso3
 from semigraded.cli import main
 from semigraded.presentation import print_presentation
 
@@ -63,6 +63,7 @@ def files(tmp_path_factory):
     for name, text in (
         ("dispin", print_presentation(build_dispin())),
         ("uso3", print_presentation(build_uso3())),
+        ("qspace", print_presentation(build_quantum_space(3))),
         ("qplane", QPLANE),
         ("kx", KX),
         ("sklyanin", SKLYANIN),
@@ -426,10 +427,14 @@ def test_a_huge_exponent_is_refused_in_bounded_time(files, package_env):
 @pytest.mark.parametrize("argv, cap", [
     (("nf", "dispin", "(" * 3000 + "x1" + ")" * 3000), "_NESTING_CAP"),
     (("hilbert", "dispin", "--trunc", "100000000"), "_TRUNCATION_CAP"),
-], ids=["nesting", "trunc"])
+    (("ideal-window", "dispin", "--gens", "x1+x2*x3", "--degree", "60"),
+     "_WINDOW_DIMENSION_CAP"),
+    (("nf", "qspace", "((q12^10000)^10000)^10000*x1"), "_PARAM_EXPONENT_LIMIT"),
+], ids=["nesting", "trunc", "window", "param_exponent"])
 def test_input_past_a_cap_is_refused_in_bounded_time(files, package_env, argv, cap):
     # the parser recurses once per parenthesis; the series lists one
-    # coefficient per degree
+    # coefficient per degree; a window's work grows with its dimension; a
+    # parameter exponent of several would leave its packed field
     command, name, *rest = argv
     proc = subprocess.run(
         [sys.executable, "-m", "semigraded", command, files[name], *rest,

@@ -3,10 +3,18 @@
 import random
 import subprocess
 import sys
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import (
+    TupleScalar,
+    evaluate_tuple_fraction,
+    format_tuple_coefficient,
+    format_tuple_fraction,
+)
 from semigraded.presentation import parse_scalar
 from semigraded.scalars import (
     ParamDecl,
@@ -307,6 +315,99 @@ def test_scalar_normalize_copies_its_arguments():
     assert field.format(x) == "3*q - nu"
     assert field.format(y) == "nu/(q*nu + 2)"
     assert (hash(x), hash(y)) == hashes
+
+
+@st.composite
+def scalar_programs(draw):
+    """A field of 1-3 parameters with root orders 1-3, Laurent leaves
+    num/den with exponents in -3..3, up to four + * / ^ steps over them,
+    and a point (zero allowed) to evaluate every value at."""
+    m = draw(st.integers(1, 3))
+    roots = draw(st.lists(st.sampled_from((1, 2, 3)), min_size=m, max_size=m))
+    exponents = st.tuples(*[st.integers(-3, 3)] * m)
+    poly = st.dictionaries(
+        exponents, st.integers(-4, 4).filter(bool), min_size=1, max_size=3
+    )
+    leaves = draw(st.lists(st.tuples(poly, poly), min_size=2, max_size=3))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from("+*/^"), st.integers(0, 9), st.integers(0, 9),
+                  st.integers(-2, 3)),
+        max_size=4,
+    ))
+    point = draw(st.lists(st.integers(-2, 3), min_size=m, max_size=m))
+    return roots, leaves, steps, point
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=60)
+@given(scalar_programs())
+def test_packed_scalars_match_the_tuple_keyed_reference(program):
+    sympy = pytest.importorskip("sympy")
+    roots, leaves, steps, point = program
+    names = ("a", "b", "c")[: len(roots)]
+    field = ScalarField(tuple(
+        ParamDecl(name, invertible=True, root_order=k) for name, k in zip(names, roots)
+    ))
+    symbols = sympy.symbols(" ".join(names), seq=True)
+    pool = [(scalar_normalize(field, num, den), TupleScalar(num, den)) for num, den in leaves]
+    for op, i, j, k in steps:
+        (a, ra), (b, rb) = pool[i % len(pool)], pool[j % len(pool)]
+        if op == "+":
+            pool.append((a + b, ra + rb))
+        elif op == "*":
+            pool.append((a * b, ra * rb))
+        elif op == "/" and b:
+            pool.append((a / b, ra / rb))
+        elif op == "^" and (a or k >= 0):
+            pool.append((a**k, ra**k))
+    values = dict(zip(names, map(Fraction, point)))
+    for x, reference in pool:
+        num, den = reference.canonical(symbols)
+        assert (x.num, x.den) == (num, den)
+        text = format_tuple_fraction(num, den, names, roots)
+        assert field.format(x) == text
+        assert field.format_coefficient(x) == format_tuple_coefficient(text)
+        assert parse_scalar(field, text) == x
+        expected = evaluate_tuple_fraction(num, den, list(values.values()))
+        if expected is None:
+            with pytest.raises(SpecializationError):
+                field.evaluate(x, values)
+        else:
+            assert field.evaluate(x, values) == expected
+
+
+def test_packed_exponents_past_the_limit_are_refused():
+    # with several parameters each exponent owns a 32-bit field of the key;
+    # a value that would leave it raises instead of wrapping into another
+    field = ScalarField((ParamDecl("a", invertible=True), ParamDecl("b", invertible=True)))
+    limit = 1 << 28
+    a, b = field.parameter("a"), field.parameter("b")
+    top = field.root_power("a", limit - 1)
+    bottom = field.root_power("b", -limit)
+    # the ends of the range compute exactly
+    assert field.format(top / field.root_power("b", limit - 1)) == (
+        f"a^{limit - 1}/b^{limit - 1}"
+    )
+    assert (top * bottom).num == {(limit - 1, 0): 1}
+    assert (top * bottom).den == {(0, limit): 1}
+    assert top / a * a == top
+    past = [
+        lambda: top * a,
+        lambda: bottom / b,
+        lambda: top**2,
+        lambda: (top + b) ** 2,
+        lambda: (top + b) * (a + b),
+        lambda: field.one / (bottom + a),
+        lambda: field.root_power("a", limit),
+        lambda: scalar_normalize(field, {(0, -limit - 1): 1}),
+    ]
+    for make in past:
+        with pytest.raises(ValueError, match="_PARAM_EXPONENT_LIMIT"):
+            make()
+    # one parameter: the key is the exponent itself, and nothing overflows
+    single = ScalarField((ParamDecl("q", invertible=True),))
+    q = single.root_power("q", limit)
+    assert q * q == single.root_power("q", 2 * limit)
+    assert (q + single.one) ** 2 == q * q + 2 * q + single.one
 
 
 def test_specialization_of_a_monomial_denominator_at_zero_is_refused():
