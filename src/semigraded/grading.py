@@ -7,8 +7,12 @@ finite-dimensional window F_d of all monomials of degree at most d,
 intersects left ideals with such windows (as a lower approximation, monotone
 in d), and tests whether a window subspace is closed under taking
 homogeneous components — the finite-window version of the semi-graded
-submodule criterion.  ``tests/oracles.py`` checks the counts and the window
-bases against brute-force generation; nothing re-derives them at runtime.
+submodule criterion.  A window is enumerated once, degree by degree, as the
+rewrite engine's packed monomials (each degree's from the one below, by
+adding every letter), which also serve as the keys of its columns; exponent
+tuples are unpacked only where a window is handed out.  ``tests/oracles.py``
+checks the counts and the window bases against brute-force generation;
+nothing re-derives them at runtime.
 
 Linear algebra is exact over Q after the parameters have been
 specialized; the resulting subspace records which specialization was used.
@@ -65,18 +69,6 @@ def homogeneous_components(p: NCPoly) -> list[tuple[int, NCPoly]]:
 # ---------------------------------------------------------------------------
 # monomial counting
 # ---------------------------------------------------------------------------
-
-
-def _monomials_of_degree(n: int, k: int, prefix: tuple = ()) -> list[tuple]:
-    """All exponent vectors in n variables of total degree k, descending lex."""
-    if n == 0:
-        return [prefix] if k == 0 else []
-    if n == 1:
-        return [prefix + (k,)]
-    out: list[tuple] = []
-    for e in range(k, -1, -1):
-        out.extend(_monomials_of_degree(n - 1, k - e, prefix + (e,)))
-    return out
 
 
 def degree_count(n: int, k: int) -> int:
@@ -141,13 +133,24 @@ class FiltrationWindow(_FrozenRecord):
 
 def filtration_window(presentation: AlgebraPresentation, d: int) -> FiltrationWindow:
     """The window F_d of ``presentation``: all monomials of degree <= d."""
+    return _unpacked_window(presentation, d, _packed_window(presentation, d)[1])
+
+
+def _packed_window(presentation: AlgebraPresentation, d: int) -> tuple[list[int], dict]:
+    """The basis of F_d as the rewrite engine's packed monomials, in window
+    order, and the map from each to its column."""
     if d < 0:
         raise ValueError(f"degree bound must be >= 0, got {d}")
-    n = presentation.n
-    basis: list[tuple] = []
-    for k in range(d, -1, -1):
-        basis.extend(_monomials_of_degree(n, k))
-    return FiltrationWindow(tuple(presentation.gens), d, tuple(basis))
+    packed = rewrite._engine(presentation).window(d)
+    return packed, {m: c for c, m in enumerate(packed)}
+
+
+def _unpacked_window(
+    presentation: AlgebraPresentation, d: int, column: dict
+) -> FiltrationWindow:
+    """F_d from the column map of ``_packed_window``."""
+    basis = tuple(rewrite._engine(presentation).unpack(column))
+    return FiltrationWindow(tuple(presentation.gens), d, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +362,9 @@ def left_ideal_window(
             f"{_WINDOW_DIMENSION_CAP}); lower the window degree"
         )
     spec_pres, full = specialize_presentation(presentation, specialization)
-    window = filtration_window(spec_pres, d)
+    packed, column = _packed_window(spec_pres, d)
+    window = _unpacked_window(spec_pres, d, column)
     eng = rewrite._engine(spec_pres)
-    packed = [eng.key(exp) for exp in window.basis]
-    column = {m: c for c, m in enumerate(packed)}
     field = presentation.field
     echelon = Echelon()
     for gen in generators:
@@ -375,10 +377,10 @@ def left_ideal_window(
         if budget < 0:
             continue
         g_terms = eng.pack(spec_gen.terms)[0]
-        for exp, mu in zip(window.basis, packed):
-            if sum(exp) <= budget:
-                terms = eng.product({mu: 1}, g_terms)[0]
-                echelon.insert({column[m]: x for m, x in terms.items()})
+        # the monomials of degree <= budget end the window
+        for mu in packed[-comb(presentation.n + budget, budget):]:
+            terms = eng.product({mu: 1}, g_terms)[0]
+            echelon.insert({column[m]: x for m, x in terms.items()})
     echelon.back_substitute()
     return WindowSubspace(window, dict(full), sorted(echelon.pivots), echelon)
 

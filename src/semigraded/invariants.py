@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
-from .grading import Echelon, degree_count, filtration_window
+from .grading import Echelon, _packed_window, degree_count, filtration_window
 from .presentation import AlgebraPresentation, specialize_presentation
 from . import rewrite
 from .rewrite import NCPoly
@@ -410,10 +410,8 @@ def _span_growth(
             f"(> {_GROWTH_DIMENSION_CAP}); lower k_max or use a frame that "
             "spans a full filtration window, which has a closed form"
         )
-    window = filtration_window(spec_pres, degree * k_max)
+    packed, column = _packed_window(spec_pres, degree * k_max)
     eng = rewrite._engine(spec_pres)
-    packed = [eng.key(exp) for exp in window.basis]
-    column = {m: c for c, m in enumerate(packed)}
     frame = [eng.pack(b.terms)[0] for b in basis]
     echelon = Echelon()
 

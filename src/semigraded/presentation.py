@@ -768,8 +768,8 @@ def validate(presentation: AlgebraPresentation) -> Diagnostics:
             findings.append(Finding("error", "bad-generator", f"generator {g!r} is not an identifier"))
     if len(set(p.gens)) != n:
         findings.append(Finding("error", "bad-generator", "duplicate generator names"))
-    expected_pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    if set(p.relations) != expected_pairs:
+    expected = {(i, j) for i in range(n) for j in range(i + 1, n)}
+    if set(p.relations) != expected:
         findings.append(Finding("error", "bad-indices", "relation keys do not cover exactly the pairs i < j"))
     quasi = True
     zero_c = False

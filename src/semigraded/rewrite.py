@@ -8,10 +8,12 @@ lower-order terms of a relation) or moves a smaller generator index leftward
 at the same degree, which is a well-founded measure.
 
 The worker is ``x_i * (ordered monomial)``; its results are memoized per
-presentation, as are full monomial-pair products, so repeated multiplications
-over the same presentation stay cheap.  It peels the first letter x_j of
-the monomial level by level, in a loop over x_j's exponent rather than one
-recursive call per degree.
+presentation, so repeated multiplications over the same presentation stay
+cheap.  It peels the first letter x_j of the monomial level by level, in a
+loop over x_j's exponent rather than one recursive call per degree.  Every
+other product is a sequence of such steps: a term x^alpha of a left factor
+multiplies the whole right factor one letter at a time, the last letter
+first, and so does a free word.
 
 Inside the engine an ordered monomial is one Python ``int``, a packed
 exponent vector (M. Monagan and R. Pearce, "Polynomial division using
@@ -214,8 +216,8 @@ class _Engine:
     ``unit[i]`` is the packed x_i, and ``x_i * m`` needs no rewriting
     exactly when ``m < limit[i]`` (m has no letter before x_i); then it is
     ``m + unit[i]``.  Such products are computed inline and never memoized.
-    ``_var`` is keyed by ``m + tag[i]`` and ``_pair`` by ``alpha << bits |
-    beta``.
+    The one memo table, ``_var``, holds every other ``x_i * m``, keyed by
+    ``m + tag[i]``.
 
     An engine value is a dict of numerators whose denominator is 1, or a
     pair ``(numerators, den)`` with an ``int`` ``den > 1`` coprime to them;
@@ -233,7 +235,6 @@ class _Engine:
         self.shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
         self.mask = (1 << _FIELD_BITS) - 1
         self.unit = [1 << s for s in self.shifts]
-        self.letter = {u: i for i, u in enumerate(self.unit)}
         self.limit = [u << _FIELD_BITS for u in self.unit]
         self.tag = [i << self.bits for i in range(n)]
         self.rational = not p.field.params
@@ -253,7 +254,6 @@ class _Engine:
             rule[3] == 1 for row in self.rules for rule in row if rule is not None
         )
         self._var: dict = {}
-        self._pair: dict = {}
 
     # packing at the public boundary
 
@@ -274,10 +274,18 @@ class _Engine:
         packed = {key(exp): c for exp, c in terms.items()}
         return _cleared(packed) if self.rational else (packed, 1)
 
+    def window(self, d: int) -> list[int]:
+        """The packed monomials of degree <= d in a filtration window's
+        order: each degree's monomials descending, the top degree first."""
+        levels = [[0]]
+        for _ in range(d):
+            levels.append(sorted({m + u for m in levels[-1] for u in self.unit}, reverse=True))
+        return [m for level in reversed(levels) for m in level]
+
     def unpack(self, terms: Mapping) -> dict:
         """Packed keys back to exponent tuples."""
         mask, shifts = self.mask, self.shifts
-        return {tuple(m >> s & mask for s in shifts): c for m, c in terms.items()}
+        return {tuple([m >> s & mask for s in shifts]): c for m, c in terms.items()}
 
     # x_i * (packed ordered monomial) in normal form.  Cached results are
     # immutable; all accumulation happens in fresh dicts.
@@ -384,47 +392,22 @@ class _Engine:
             parts.append((cf, product))
         return _value(*_sum_over(parts, den))
 
-    def monomial_product(self, alpha: int, beta: int):
-        key = alpha << self.bits | beta
-        cached = self._pair.get(key)
-        if cached is not None:
-            return cached
-        result = {beta: self.one}
-        for i in range(self.n - 1, -1, -1):
-            for _ in range(alpha >> self.shifts[i] & self.mask):
-                result = self.var_times_poly(i, result)
-        self._pair[key] = result
-        return result
-
     def product(self, p_terms: Mapping, q_terms: Mapping) -> tuple[dict, int]:
         """Normal form of ``p * q`` on packed keys as ``(numerators, den)``,
         reduced.  Over Q the inputs' coefficients are ``int``.
 
-        A constant term of ``p`` scales ``q``.  A one-letter term x_i
-        shifts the terms ``beta`` of ``q`` that need no rewriting, all in
-        one part, and takes the other ``x_i * beta`` from
-        :meth:`var_times_monomial`.  Only longer terms reach
-        :meth:`monomial_product` and its ``_pair`` memo.
+        Each term x^alpha of ``p`` multiplies all of ``q`` one letter at a
+        time, the last letter first, through :meth:`var_times_poly`, so
+        every rewrite is a ``_var`` entry; a constant term scales ``q``.
         """
-        q_items = list(q_terms.items())
-        letter, times = self.letter, self.var_times_monomial
+        n, shifts, mask = self.n, self.shifts, self.mask
         parts = []
         for alpha, ca in p_terms.items():
-            i = letter.get(alpha)
-            if i is not None:
-                lim, unit = self.limit[i], self.unit[i]
-                shifted = {}
-                for beta, cb in q_items:
-                    if beta < lim:
-                        shifted[beta + unit] = ca * cb
-                    else:
-                        parts.append((ca * cb, times(i, beta)))
-                parts.append((self.one, shifted))
-            elif alpha:
-                for beta, cb in q_items:
-                    parts.append((ca * cb, self.monomial_product(alpha, beta)))
-            else:
-                parts.append((ca, q_terms))
+            value = q_terms
+            for i in range(n - 1, -1, -1):
+                for _ in range(alpha >> shifts[i] & mask):
+                    value = self.var_times_poly(i, value)
+            parts.append((ca, value))
         return _sum_over(parts, 1)
 
     def mixed_product(self, p_terms: Mapping, q_terms: Mapping) -> dict:
@@ -439,12 +422,6 @@ class _Engine:
         terms, den = self.product(p_terms, q_terms)
         den *= pd * qd
         return terms if den == 1 else _widen(terms, den)
-
-    def word_normal_form(self, word: tuple):
-        result = {0: self.one}
-        for letter in reversed(word):
-            result = self.var_times_poly(letter, result)
-        return result
 
 
 def _sum_over(parts: list, den: int, at=None, const=None) -> tuple[dict, int]:
@@ -554,7 +531,10 @@ def free_to_normal_form(presentation: AlgebraPresentation, free: Mapping) -> NCP
         free, den = _cleared(free)
     parts = []
     for word, coeff in free.items():
-        parts.append((coeff, eng.word_normal_form(word)))
+        value = {0: eng.one}
+        for i in reversed(word):
+            value = eng.var_times_poly(i, value)
+        parts.append((coeff, value))
     return NCPoly(eng.unpack(_widen(*_sum_over(parts, den))))
 
 

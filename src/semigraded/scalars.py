@@ -574,7 +574,7 @@ class ParamScalar:
 
     # All binary ops accept int/Fraction and same-field ParamScalar.
 
-    def _pair(self, other):
+    def _operand(self, other):
         if isinstance(other, ParamScalar):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -582,7 +582,7 @@ class ParamScalar:
         return None
 
     def __add__(self, other):
-        o = self._pair(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         d1, d2 = self._den, o._den
@@ -595,19 +595,19 @@ class ParamScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._pair(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._pair(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o.__sub__(self)
 
     def __mul__(self, other):
-        o = self._pair(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         d1, d2 = self._den, o._den
@@ -625,7 +625,7 @@ class ParamScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._pair(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         if not o._num:
@@ -633,7 +633,7 @@ class ParamScalar:
         return self.field.normalize(_mul(self._num, o._den), _mul(self._den, o._num))
 
     def __rtruediv__(self, other):
-        o = self._pair(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return o.__truediv__(self)
@@ -647,6 +647,10 @@ class ParamScalar:
             if not num:
                 raise ZeroDivisionError("zero scalar has no negative powers")
             num, den, k = den, num, -k
+        elif k and den is not unit:
+            # powers of coprime parts are coprime, and the denominator keeps
+            # its positive lead and no monomial factor: no gcd is needed
+            return field._stored(_pow(field, num, k), _pow(field, den, k))
         return field.normalize(
             _pow(field, num, k), unit if den is unit else _pow(field, den, k)
         )
@@ -661,7 +665,7 @@ class ParamScalar:
         return bool(self._num)
 
     def __eq__(self, other) -> bool:
-        o = self._pair(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
         return self._num == o._num and self._den == o._den

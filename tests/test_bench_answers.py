@@ -5,10 +5,13 @@ normal form or a window fails here and not only in the benchmark.
 ``bench/``); its ops are run through its own in-process runner and their
 answers compared, digested as the benchmark digests them, with
 ``bench/answers/*.json``.  The ``sgr`` ops of cli_mix run in-process
-through ``main``, with the report fields the benchmark reads.
+through ``main``, with the report fields the benchmark reads.  The span
+tracer of ``bench/tracing.py`` is installed in a child interpreter, so a
+renamed or deleted traced function fails here too.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,3 +67,21 @@ def test_cli_mix_reports_match_recorded_answers(workloads, capsys):
         code = main(argv + ["--format", "json"])
         answer = workloads.cli_answer(op["args"], code, capsys.readouterr().out)
         assert workloads.digest(answer) == expected[op["id"]], op["id"]
+
+
+def test_bench_tracer_finds_every_traced_function(package_env):
+    # install() raises AttributeError on a missing TRACED name; it rebinds
+    # module globals, so it runs in a child interpreter, and -B keeps bench/
+    # free of bytecode
+    script = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('bench_tracing', sys.argv[1])\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "tracing.install()\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-B", "-c", script, str(BENCH / "tracing.py")], env=package_env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr

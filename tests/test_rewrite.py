@@ -283,7 +283,7 @@ def test_engine_memo_holds_reduced_integer_fractions():
     nc_pow(p, x, 5)
     nc_mul(p, parse_element(p, "x3^4*x2"), parse_element(p, "x2^3*x1^2"))
     eng = _engine(p)
-    values = list(eng._var.values()) + list(eng._pair.values())
+    values = list(eng._var.values())
     assert any(type(v) is tuple for v in values)
     for value in values:
         terms, den = value if type(value) is tuple else (value, 1)
@@ -299,13 +299,22 @@ def test_scalar_factors_scale_without_rewriting():
     for source in ("1/2*(x1+x2+x3)^8", "(x1+x2+x3)^8", "(x1+x2+x3)^8/2"):
         p = parse_presentation(text)
         elements[source] = parse_element(p, source)
-        # a scalar factor on the left adds no memo entries, and one-letter
-        # left factors take x_i * beta from _var, so _pair stays empty
+        # a scalar factor on the left adds no memo entries
         eng = _engine(p)
-        assert (len(eng._pair), len(eng._var)) == (0, 196), source
+        assert len(eng._var) == 196, source
     half = elements["1/2*(x1+x2+x3)^8"]
     assert half == elements["(x1+x2+x3)^8/2"]
     assert half == nc_scale(elements["(x1+x2+x3)^8"], Fraction(1, 2))
+
+
+def test_multi_letter_left_factors_fill_only_the_letter_memo():
+    # x3^40 multiplies x1^40 one letter at a time; _var then holds
+    # x3 * x1^s*x3^t for 1 <= s <= 40 and 0 <= t < 40, and nothing else
+    p = parse_presentation((INPUTS / "enveloping3.sgr").read_text())
+    element = parse_element(p, "x3^40*x1^40")
+    assert len(_engine(p)._var) == 1600
+    assert len(element.terms) == 41
+    assert element == nc_mul(p, parse_element(p, "x3^40"), parse_element(p, "x1^40"))
 
 
 def _free(p, *terms):

@@ -317,6 +317,33 @@ def test_scalar_normalize_copies_its_arguments():
     assert (hash(x), hash(y)) == hashes
 
 
+def test_positive_powers_of_canonical_fractions_take_no_gcd(monkeypatch):
+    # powers of a coprime pair are coprime, so no positive power reaches
+    # sympy's cancellation, whatever the sign, the Laurent part or the content
+    sympy = pytest.importorskip("sympy")
+    field = field_qnu()
+    leaves = [
+        ({(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 0): -1}),
+        ({(-1, 0): -2, (2, 1): 4}, {(0, 1): 3, (0, 0): 6}),
+        ({(0, 1): 1, (1, 0): -1}, {(0, 0): 5}),
+    ]
+    values = [(scalar_normalize(field, num, den), TupleScalar(num, den)) for num, den in leaves]
+    calls = []
+    cancel = ScalarField._cancel
+
+    def counting(self, p, q):
+        calls.append((p, q))
+        return cancel(self, p, q)
+
+    monkeypatch.setattr(ScalarField, "_cancel", counting)
+    powers = [(x**k, reference**k) for x, reference in values for k in (5, 1)]
+    assert calls == []
+    powers += [(x**k, reference**k) for x, reference in values for k in (0, -1, -3)]
+    symbols = sympy.symbols("q nu", seq=True)
+    for x, reference in powers:
+        assert (x.num, x.den) == reference.canonical(symbols)
+
+
 @st.composite
 def scalar_programs(draw):
     """A field of 1-3 parameters with root orders 1-3, Laurent leaves
