@@ -25,7 +25,7 @@ from .grading import Echelon, _packed_window, degree_count, filtration_window
 from .presentation import AlgebraPresentation, specialize_presentation
 from . import rewrite
 from .rewrite import NCPoly
-from .scalars import SpecializationError, _FrozenRecord, _Record
+from .scalars import SpecializationError, _format_assignment, _FrozenRecord, _Record
 
 __all__ = [
     "HilbertData",
@@ -351,7 +351,7 @@ def ggk_estimate(
     if any(not b for b in basis):
         raise SpecializationError(
             "frame basis degenerates to zero under the specialization "
-            f"{_spec_summary(full)}; try a different specialization"
+            f"{_format_assignment(full)}; try a different specialization"
         )
 
     window = filtration_window(spec_pres, int(degree))
@@ -360,7 +360,7 @@ def ggk_estimate(
         if echelon.insert({window.index_of(e): c for e, c in b.terms.items()}) is None:
             raise SpecializationError(
                 "frame basis is linearly dependent under the specialization "
-                f"{_spec_summary(full)}; try a different specialization"
+                f"{_format_assignment(full)}; try a different specialization"
             )
     if not echelon.contains({window.index_of((0,) * n): Fraction(1)}):
         raise ValueError("the frame span must contain 1")
@@ -379,10 +379,6 @@ def ggk_estimate(
         _fit_slope(points, dims), "span_growth", k_max, points, dims,
         _pointwise(points, dims), dict(full),
     )
-
-
-def _spec_summary(full: Mapping) -> str:
-    return "{" + ", ".join(f"{k}={v}" for k, v in sorted(full.items())) + "}"
 
 
 def _span_growth(

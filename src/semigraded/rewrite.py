@@ -399,6 +399,7 @@ class _Engine:
         Each term x^alpha of ``p`` multiplies all of ``q`` one letter at a
         time, the last letter first, through :meth:`var_times_poly`, so
         every rewrite is a ``_var`` entry; a constant term scales ``q``.
+        A lone monomial's letter-loop result is fresh and returned as is.
         """
         n, shifts, mask = self.n, self.shifts, self.mask
         parts = []
@@ -408,6 +409,8 @@ class _Engine:
                 for _ in range(alpha >> shifts[i] & mask):
                     value = self.var_times_poly(i, value)
             parts.append((ca, value))
+        if len(parts) == 1 and alpha and ca == self.one:
+            return _split(value)
         return _sum_over(parts, 1)
 
     def mixed_product(self, p_terms: Mapping, q_terms: Mapping) -> dict:

@@ -1,10 +1,12 @@
 """Registry contents, builders, verification reports, and export."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from semigraded.catalog import (
+    CatalogEntry,
     CatalogError,
     build_dispin,
     build_enveloping,
@@ -29,6 +31,8 @@ from semigraded.presentation import (
     validate,
 )
 from semigraded.rewrite import check_pbw
+
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 
 
 def test_registry_shape():
@@ -164,6 +168,26 @@ def test_verify_dispin_report():
     assert variant["window_dims"][:3] == [1, 3, 6]
 
 
+def test_window_ok_is_the_overlap_certificate():
+    # window_dims is the closed form either way; window_ok says whether the
+    # ordered monomials form a basis, so that the dimensions are the algebra's
+    dispin = catalog_entry("dispin")
+    text = print_presentation(build_dispin()).replace(
+        "rel: x3*x2 = x2*x3 - x3;", "rel: x3*x2 = x2*x3 + 1;"
+    )
+    perturbed = CatalogEntry(
+        "perturbed_dispin", "Dispin with one relation perturbed", dispin.table_id,
+        dispin.table_n, dispin.gh_string, dispin.gp_string,
+        builders=(("perturbed_dispin", lambda b: parse_presentation(text)),),
+    )
+    (variant,) = catalog_verify(perturbed)["variants"]
+    assert variant["valid"] is True
+    assert variant["window_ok"] is False
+    assert variant["window_dims"][:3] == [1, 3, 6]
+    (variant,) = catalog_verify(dispin)["variants"]
+    assert variant["window_ok"] is True
+
+
 def test_verify_mixed_dh_all_match():
     report = catalog_verify(catalog_entry("mixed_dh"))
     assert report["dimension"] == 2
@@ -261,6 +285,18 @@ def test_export_round_trip(tmp_path):
         text = open(path).read()
         p = parse_presentation(text)
         assert print_presentation(p) == text
+
+
+def test_export_reproduces_the_benchmark_inputs(tmp_path):
+    # bench/inputs is read, never written: the 14 default variants, and
+    # weyl2 from n=2, are the builders' printed presentations byte for byte
+    paths = export_presentations(str(tmp_path / "default"), {})
+    assert len(paths) == 14
+    for path in map(Path, paths):
+        assert path.read_bytes() == (INPUTS / path.name).read_bytes(), path.name
+    export_presentations(str(tmp_path / "n2"), {"n": 2})
+    weyl2 = (tmp_path / "n2" / "weyl2.sgr").read_bytes()
+    assert weyl2 == (INPUTS / "weyl2.sgr").read_bytes()
 
 
 def test_skew3d_relations_sample():

@@ -293,6 +293,25 @@ def test_engine_memo_holds_reduced_integer_fractions():
         assert gcd(den, *terms.values()) == 1, value
 
 
+def test_single_term_products_are_fresh_dicts():
+    # a one-term left factor returns its letter-loop result without a copy;
+    # the caller still owns it, and a constant factor still copies q
+    specialized, _ = specialize_presentation(parse_presentation(USO3))
+    for p in (parse_presentation(DISPIN), parse_presentation(USO3), specialized):
+        eng = _engine(p)
+        q_terms, _ = eng.pack(parse_element(p, "(x1 + x2 + x3)^3").terms)
+        nc_pow(p, parse_element(p, "x1 + x2 + x3"), 4)
+        for text in ("x3", "x3*x1", "x2^2*x3", "1"):
+            p_terms, _ = eng.pack(parse_element(p, text).terms)
+            terms, _ = eng.product(p_terms, q_terms)
+            memo = [v[0] if type(v) is tuple else v for v in eng._var.values()]
+            assert terms is not q_terms and all(terms is not v for v in memo), text
+            before = [dict(v) for v in memo]
+            terms.clear()
+            assert [dict(v) for v in memo] == before, text
+    assert any(type(v) is tuple for v in _engine(specialized)._var.values())
+
+
 def test_scalar_factors_scale_without_rewriting():
     text = (INPUTS / "enveloping3.sgr").read_text()
     elements = {}
