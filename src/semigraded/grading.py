@@ -133,24 +133,19 @@ class FiltrationWindow(_FrozenRecord):
 
 def filtration_window(presentation: AlgebraPresentation, d: int) -> FiltrationWindow:
     """The window F_d of ``presentation``: all monomials of degree <= d."""
-    return _unpacked_window(presentation, d, _packed_window(presentation, d)[1])
+    return _window(presentation, d)[0]
 
 
-def _packed_window(presentation: AlgebraPresentation, d: int) -> tuple[list[int], dict]:
-    """The basis of F_d as the rewrite engine's packed monomials, in window
-    order, and the map from each to its column."""
+def _window(presentation: AlgebraPresentation, d: int) -> tuple[FiltrationWindow, list, dict]:
+    """F_d, its basis as the rewrite engine's packed monomials in window
+    order, and the map from each packed monomial to its column."""
     if d < 0:
         raise ValueError(f"degree bound must be >= 0, got {d}")
-    packed = rewrite._engine(presentation).window(d)
-    return packed, {m: c for c, m in enumerate(packed)}
-
-
-def _unpacked_window(
-    presentation: AlgebraPresentation, d: int, column: dict
-) -> FiltrationWindow:
-    """F_d from the column map of ``_packed_window``."""
-    basis = tuple(rewrite._engine(presentation).unpack(column))
-    return FiltrationWindow(tuple(presentation.gens), d, basis)
+    eng = rewrite._engine(presentation)
+    packed = eng.window(d)
+    column = {m: c for c, m in enumerate(packed)}
+    basis = tuple(eng.unpack(column))
+    return FiltrationWindow(tuple(presentation.gens), d, basis), packed, column
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +154,13 @@ def _unpacked_window(
 
 
 class Echelon:
-    """A row space as sparse primitive integer rows ``{column: int}``.
+    """A row space as sparse primitive integer rows ``{key: int}``.
 
-    ``pivots`` maps each row's lowest column (in a window's descending-deglex
-    order, its leading monomial) to the row.  A stored row has entries with
+    Keys are any ints, and ``pivots`` maps each row's lowest key to the row.
+    A window keys its rows by column, so in its descending-deglex order the
+    pivot is the leading monomial; frame growth in ``invariants`` keys them
+    by negated packed monomial, so the pivot is the lex-largest monomial,
+    since the rewrite engine packs x1 highest.  A stored row has entries with
     gcd 1 and a positive lead; rational input is cleared by the lcm of its
     denominators on the way in.  Elimination is fraction-free,
     ``h * row - a * pivot``, and every division (by a row's content, by its
@@ -362,8 +360,7 @@ def left_ideal_window(
             f"{_WINDOW_DIMENSION_CAP}); lower the window degree"
         )
     spec_pres, full = specialize_presentation(presentation, specialization)
-    packed, column = _packed_window(spec_pres, d)
-    window = _unpacked_window(spec_pres, d, column)
+    window, packed, column = _window(spec_pres, d)
     eng = rewrite._engine(spec_pres)
     field = presentation.field
     echelon = Echelon()

@@ -8,7 +8,10 @@ of the polynomial, together with an empirical estimator that measures the
 growth of powers of a finite-dimensional generating frame and fits the growth
 exponent by least squares on a log-log scale.  Each function body is the
 closed form; ``tests/oracles.py`` checks the closed forms against series
-convolution, brute-force monomial counts and polynomial evaluation.
+convolution, brute-force monomial counts and polynomial evaluation.  A frame
+that spans no full window is grown literally, in one echelon keyed by the
+rewrite engine's packed monomials: only ranks are reported, so no window is
+enumerated to number its columns.
 
 All series and polynomial arithmetic is exact (integers and Fractions);
 floating point enters only in the logarithms of the estimator fit.
@@ -21,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
-from .grading import Echelon, _packed_window, degree_count, filtration_window
+from .grading import Echelon, degree_count
 from .presentation import AlgebraPresentation, specialize_presentation
 from . import rewrite
 from .rewrite import NCPoly
@@ -324,8 +327,15 @@ def ggk_estimate(
     products of k window-D monomials reach every monomial of degree kD, one
     commutation at a time, because leading coefficients stay invertible.
     Any other frame is grown literally — S_{k+1} = span of (frame element) *
-    (row of S_k) — which is exact but only affordable while the ambient
-    window stays small; past the cap a ValueError explains the options.
+    (row of S_k) — which is exact but only affordable while the window
+    F_{D*k_max} holding S_{k_max} stays small; past the cap a ValueError
+    explains the options.
+
+    One echelon serves the frame checks and the growth, its rows keyed by
+    the rewrite engine's packed monomials, negated so that a row's pivot is
+    its lex-largest monomial.  Each round multiplies the frame into the rows
+    added last round (earlier rows were already absorbed); a product's
+    denominator is dropped, since a row's scale does not change its span.
     """
     if k_max < 8:
         raise ValueError(f"k_max must be >= 8, got {k_max}")
@@ -349,86 +359,59 @@ def ggk_estimate(
     ]
     degree = max((b.degree() for b in basis if b), default=0)
     if any(not b for b in basis):
-        raise SpecializationError(
-            "frame basis degenerates to zero under the specialization "
-            f"{_format_assignment(full)}; try a different specialization"
-        )
+        raise _frame_error("degenerates to zero", full)
 
-    window = filtration_window(spec_pres, int(degree))
+    eng = rewrite._engine(spec_pres)
+    packed = [eng.pack(b.terms)[0] for b in basis]
     echelon = Echelon()
-    for b in basis:
-        if echelon.insert({window.index_of(e): c for e, c in b.terms.items()}) is None:
-            raise SpecializationError(
-                "frame basis is linearly dependent under the specialization "
-                f"{_format_assignment(full)}; try a different specialization"
-            )
-    if not echelon.contains({window.index_of((0,) * n): Fraction(1)}):
+    frontier = []
+    for b in packed:
+        row = echelon.insert({-m: c for m, c in b.items()})
+        if row is None:
+            raise _frame_error("is linearly dependent", full)
+        frontier.append({-key: x for key, x in row.items()})
+    if not echelon.contains({0: 1}):
         raise ValueError("the frame span must contain 1")
 
-    if len(echelon.pivots) == window.dimension and degree >= 1:
-        d = int(degree)
-        dims = tuple(comb(n + k * d, k * d) for k in points)
+    if len(echelon.pivots) == comb(n + degree, degree) and degree >= 1:
+        dims = tuple(comb(n + k * degree, k * degree) for k in points)
         return GkEstimate(
             _fit_slope(points, dims), "window_power", k_max, points, dims,
             _pointwise(points, dims), dict(full),
         )
 
-    dims_all = _span_growth(spec_pres, basis, int(degree), k_max)
-    dims = tuple(dims_all[k] for k in points)
-    return GkEstimate(
-        _fit_slope(points, dims), "span_growth", k_max, points, dims,
-        _pointwise(points, dims), dict(full),
-    )
-
-
-def _span_growth(
-    spec_pres: AlgebraPresentation,
-    basis: Sequence[NCPoly],
-    degree: int,
-    k_max: int,
-) -> dict:
-    """Literal frame-power dimensions f(1..k_max) by iterated products.
-
-    Rows are held in one echelon over the columns of F_{degree * k_max}; each
-    round multiplies the frame into the rows added last round (earlier rows
-    were already absorbed).  The window's columns are mapped to the rewrite
-    engine's packed monomials once, and the frame is packed once.  The
-    echelon's rows are primitive integer rows, and the engine's product of
-    a frame element with one comes back as integer numerators over a
-    denominator, which is dropped: a row's scale does not change its span.
-    The RREF for that window's column order is unique, so every rank is
-    exact whatever order rows were reduced in.
-    """
-    ambient = comb(spec_pres.n + degree * k_max, spec_pres.n)
+    ambient = comb(n + degree * k_max, n)
     if ambient > _GROWTH_DIMENSION_CAP:
         raise ValueError(
             f"span growth would track a window of dimension {ambient} "
             f"(> {_GROWTH_DIMENSION_CAP}); lower k_max or use a frame that "
             "spans a full filtration window, which has a closed form"
         )
-    packed, column = _packed_window(spec_pres, degree * k_max)
-    eng = rewrite._engine(spec_pres)
-    frame = [eng.pack(b.terms)[0] for b in basis]
-    echelon = Echelon()
-
-    def insert(terms: dict) -> Optional[dict]:
-        return echelon.insert({column[m]: c for m, c in terms.items()})
-
-    frontier = [row for row in map(insert, frame) if row is not None]
-    factors = [b for b in frame if set(b) != {0}]
-    dims = {1: len(echelon.pivots)}
-    for k in range(2, k_max + 1):
+    factors = [b for b in packed if set(b) != {0}]
+    ranks = [0, len(echelon.pivots)]  # ranks[k] = f(k)
+    for _ in range(2, k_max + 1):
         fresh: list[dict] = []
         for b in factors:
             for row in frontier:
-                element = {packed[c]: x for c, x in row.items()}
-                added = insert(eng.product(b, element)[0])
+                terms = eng.product(b, row)[0]
+                added = echelon.insert({-m: x for m, x in terms.items()})
                 if added is not None:
-                    fresh.append(added)
+                    fresh.append({-key: x for key, x in added.items()})
         frontier = fresh
-        dims[k] = len(echelon.pivots)
-        if not frontier:
-            for rest in range(k + 1, k_max + 1):
-                dims[rest] = len(echelon.pivots)
-            break
-    return dims
+        ranks.append(len(echelon.pivots))
+    dims = tuple(ranks[k] for k in points)
+    return GkEstimate(
+        _fit_slope(points, dims), "span_growth", k_max, points, dims,
+        _pointwise(points, dims), dict(full),
+    )
+
+
+def _frame_error(problem: str, full: dict) -> ValueError:
+    """A refused frame basis; the message names the specialization and
+    suggests another only where the presentation has parameters."""
+    if not full:
+        return ValueError(f"frame basis {problem}")
+    return SpecializationError(
+        f"frame basis {problem} under the specialization "
+        f"{_format_assignment(full)}; try a different specialization"
+    )

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from semigraded import invariants, rewrite
 from semigraded.invariants import (
     Frame,
     format_polynomial,
@@ -48,7 +49,9 @@ algebra woronowicz {
 }
 """
 
-USO3 = (Path(__file__).resolve().parent.parent / "bench" / "inputs" / "uso3.sgr").read_text()
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
+USO3 = (INPUTS / "uso3.sgr").read_text()
+WEYL2 = (INPUTS / "weyl2.sgr").read_text()
 
 
 def free_algebra(n):
@@ -185,7 +188,21 @@ def test_quadratic_frame_close_to_default():
     assert abs(quadratic.estimate - default.estimate - 0.0304) < 5e-3
 
 
-def test_span_growth_frame_dims_frozen():
+def test_span_growth_frame_dims_frozen(monkeypatch):
+    # only ranks are reported, so the frame checks and the growth share one
+    # echelon and no window is enumerated
+    def no_window(self, d):
+        raise AssertionError("frame growth enumerated a window")
+
+    built = []
+
+    class CountedEchelon(invariants.Echelon):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(rewrite._Engine, "window", no_window)
+    monkeypatch.setattr(invariants, "Echelon", CountedEchelon)
     p = parse_presentation(WORONOWICZ)
     frame = Frame(tuple(
         parse_element(p, e) for e in ("1", "x1", "x2", "x3", "x1*x2")
@@ -193,37 +210,42 @@ def test_span_growth_frame_dims_frozen():
     est = ggk_estimate(p, frame=frame, k_max=8)
     assert est.method == "span_growth"
     assert est.dims == (14, 30, 55, 91, 140, 204, 285)
+    assert len(built) == 1
     default = ggk_estimate(p, k_max=8)
     assert abs(est.estimate - default.estimate) < 0.16
 
 
 def test_span_growth_over_fractional_rules_against_rref_oracle():
     # uso3 specializes to rules over 9 and 3, so the engine and the echelon
-    # both carry denominators.  The frame is {1, a, b} for two generators;
-    # a word in it with a 1 is a shorter word in a and b, so f(k) is the
-    # rank of the normal forms of the words of length <= k in a and b.
-    p = parse_presentation(USO3)
-    spec, _ = specialize_presentation(p)
-    for letters in ((0, 1), (0, 2)):
-        frame = Frame(tuple(
-            parse_element(p, text) for text in ("1",) + tuple(p.gens[i] for i in letters)
-        ))
-        est = ggk_estimate(p, frame=frame, k_max=8)
-        assert est.method == "span_growth"
-        got = dict(zip(est.sample_points, est.dims))
-        for k in range(2, 7):
-            window = filtration_window(spec, k)
-            rows = set()
-            for length in range(k + 1):
-                for word in product(letters, repeat=length):
-                    row = [Fraction(0)] * window.dimension
-                    for exp, c in rewrite_word(spec, word).items():
-                        row[window.index_of(exp)] = c
-                    rows.add(tuple(row))
-            _, pivots = rref(sorted(rows))
-            assert got[k] == len(pivots), (letters, k)
-        est = ggk_estimate(p, frame=frame, k_max=12)
-        assert est.dims == (13, 34, 50, 70, 125, 203, 252)
+    # both carry denominators; dispin and weyl2 (four generators) are
+    # integral, and woronowicz specializes to coefficients of several terms.
+    # The frame is {1, a, b} for two generators; a word in it with a 1 is a
+    # shorter word in a and b, so f(k) is the rank of the normal forms of
+    # the words of length <= k in a and b.
+    for text in (USO3, DISPIN, WEYL2, WORONOWICZ):
+        p = parse_presentation(text)
+        spec, _ = specialize_presentation(p)
+        for letters in ((0, 1), (0, 2)):
+            frame = Frame(tuple(
+                parse_element(p, e) for e in ("1",) + tuple(p.gens[i] for i in letters)
+            ))
+            est = ggk_estimate(p, frame=frame, k_max=8)
+            assert est.method == "span_growth"
+            got = dict(zip(est.sample_points, est.dims))
+            for k in range(2, 7):
+                window = filtration_window(spec, k)
+                rows = set()
+                for length in range(k + 1):
+                    for word in product(letters, repeat=length):
+                        row = [Fraction(0)] * window.dimension
+                        for exp, c in rewrite_word(spec, word).items():
+                            row[window.index_of(exp)] = c
+                        rows.add(tuple(row))
+                _, pivots = rref(sorted(rows))
+                assert got[k] == len(pivots), (p.name, letters, k)
+            if text is USO3:
+                est = ggk_estimate(p, frame=frame, k_max=12)
+                assert est.dims == (13, 34, 50, 70, 125, 203, 252)
 
 
 def test_span_growth_tracks_default_at_k12():
@@ -266,11 +288,24 @@ def test_degenerate_frame_under_specialization():
 
 
 def test_dependent_frame_is_refused():
-    p = parse_presentation(DISPIN)
-    frame = Frame(tuple(parse_element(p, e) for e in ("1", "x1", "2*x1")))
+    p = parse_presentation(WORONOWICZ)
+    frame = Frame(tuple(parse_element(p, e) for e in ("1", "x1", "nu*x1")))
     with pytest.raises(SpecializationError) as excinfo:
         ggk_estimate(p, frame=frame, k_max=8)
     assert "linearly dependent" in str(excinfo.value)
+
+
+def test_plain_frame_errors_name_no_specialization():
+    # dispin has no parameters, so there is no specialization to name or
+    # to change
+    p = parse_presentation(DISPIN)
+    for basis, problem in ((("1", "1", "x1"), "is linearly dependent"),
+                           (("0", "1", "x1"), "degenerates to zero")):
+        frame = Frame(tuple(parse_element(p, e) for e in basis))
+        with pytest.raises(ValueError) as excinfo:
+            ggk_estimate(p, frame=frame, k_max=8)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == f"frame basis {problem}"
 
 
 def test_estimate_to_dict_shape():
