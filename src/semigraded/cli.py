@@ -254,7 +254,7 @@ def _cmd_gkdim(p, args):
             "k_max": args.kmax,
         }
     ]
-    if estimate.specialization is not None:
+    if estimate.specialization is not None and p.field.params:
         warnings.append(_specialization_warning(estimate.specialization))
     return {"exact": ggk_exact(p), "estimate": estimate.to_dict()}, warnings, True
 

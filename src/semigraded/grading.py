@@ -179,10 +179,14 @@ class Echelon:
         rest as integers, a multiple of the exact remainder.
 
         The lead is looked up afresh after every subtraction, because a
-        pivot row can bring in columns the input did not have.
+        pivot row can bring in columns the input did not have.  An all-``int``
+        row has no denominators to clear and is only copied.
         """
-        den = lcm(*(x.denominator for x in row.values()))
-        row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        if all(type(x) is int for x in row.values()):
+            row = dict(row)
+        else:
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
         while row:
             lead = min(row)
             hit = self.pivots.get(lead)

@@ -15,6 +15,15 @@ other product is a sequence of such steps: a term x^alpha of a left factor
 multiplies the whole right factor one letter at a time, the last letter
 first, and so does a free word.
 
+The memo is keyed by the head of the monomial only.  Let x_top be the last
+letter any relation's linear part uses (x1 if none does) and split
+m = u * v, where the tail v holds the letters from x_max(i, top) on.  Then
+x_i * m = (x_i * u) * v, and every term of x_i * u is built from letters
+of u, x_i and linear parts, all at most x_max(i, top), so each term times
+v is already ordered: v is appended by adding exponents, and only
+``x_i * u`` is stored (as Singular's Plural caches products per generator
+pair, not per monomial; V. Levandovskyy, PhD thesis, Kaiserslautern 2005).
+
 Inside the engine an ordered monomial is one Python ``int``, a packed
 exponent vector (M. Monagan and R. Pearce, "Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007): each
@@ -216,8 +225,11 @@ class _Engine:
     ``unit[i]`` is the packed x_i, and ``x_i * m`` needs no rewriting
     exactly when ``m < limit[i]`` (m has no letter before x_i); then it is
     ``m + unit[i]``.  Such products are computed inline and never memoized.
-    The one memo table, ``_var``, holds every other ``x_i * m``, keyed by
-    ``m + tag[i]``.
+    The one memo table, ``_var``, holds every other ``x_i * u`` for the head
+    ``u = m - (m & tail[i])``, keyed by ``u + tag[i]``; ``tail[i]`` masks
+    the fields of the letters from x_max(i, top) on, which no rewrite of
+    ``x_i * u`` reaches, so ``x_i * m`` is that entry with ``m & tail[i]``
+    added to every key.
 
     An engine value is a dict of numerators whose denominator is 1, or a
     pair ``(numerators, den)`` with an ``int`` ``den > 1`` coprime to them;
@@ -240,6 +252,7 @@ class _Engine:
         self.rational = not p.field.params
         self.one = 1 if self.rational else p.field.one
         self.rules = [[None] * n for _ in range(n)]
+        top = 0
         for (i, j), rel in p.relations.items():
             values = (rel.c, *rel.linear, rel.constant)
             den = 1
@@ -247,9 +260,12 @@ class _Engine:
                 den = lcm(*(v.denominator for v in values))
                 values = tuple(v.numerator * (den // v.denominator) for v in values)
             sparse = tuple((k, s) for k, s in enumerate(values[1:-1]) if s)
+            if sparse:
+                top = max(top, sparse[-1][0])
             self.rules[i][j] = (
                 values[0], sparse, values[-1], den, rel.is_default(p.field)
             )
+        self.tail = [(1 << _FIELD_BITS * (n - max(i, top))) - 1 for i in range(n)]
         self.integral = all(
             rule[3] == 1 for row in self.rules for rule in row if rule is not None
         )
@@ -292,12 +308,17 @@ class _Engine:
     def var_times_monomial(self, i: int, m: int):
         if m < self.limit[i]:
             return {m + self.unit[i]: self.one}
-        cached = self._var.get(m + self.tag[i])
-        return self._peel(i, m) if cached is None else cached
+        low = m & self.tail[i]
+        m -= low
+        value = self._var.get(m + self.tag[i])
+        if value is None:
+            value = self._peel(i, m)
+        return _shifted(value, low) if low else value
 
     def _peel(self, i: int, m: int):
-        """``x_i * m`` for an ``m`` whose first letter comes before x_i and
-        whose product is not memoized yet."""
+        """``x_i * m`` for an ``m`` whose first letter comes before x_i,
+        with no letter in ``tail[i]``, and whose product is not memoized
+        yet."""
         var = self._var
         tag = self.tag[i]
         # m = x_j^e * rest, x_j its first letter (j < i).  Walk down the
@@ -346,6 +367,7 @@ class _Engine:
         """``x_i * value`` as an engine value."""
         lim = self.limit[i]
         unit = self.unit[i]
+        tail = self.tail[i]
         var = self._var
         tag = self.tag[i]
         if self.integral:
@@ -365,10 +387,13 @@ class _Engine:
                         else:
                             del out[m]
                     continue
+                low = m & tail
+                m -= low
                 product = var.get(m + tag)
                 if product is None:
                     product = self._peel(i, m)
                 for m2, c2 in product.items():
+                    m2 += low
                     cur = get(m2)
                     if cur is None:
                         out[m2] = cf * c2
@@ -380,16 +405,21 @@ class _Engine:
                             del out[m2]
             return out
         terms, den = _split(value)
+        if max(terms, default=0) < lim:
+            # moving keys keeps the numerators coprime to den
+            return _value({m + unit: cf for m, cf in terms.items()}, den)
         shifted = {}
         parts = [(1, shifted)]
         for m, cf in terms.items():
             if m < lim:
                 shifted[m + unit] = cf
                 continue
+            low = m & tail
+            m -= low
             product = var.get(m + tag)
             if product is None:
                 product = self._peel(i, m)
-            parts.append((cf, product))
+            parts.append((cf, _shifted(product, low) if low else product))
         return _value(*_sum_over(parts, den))
 
     def product(self, p_terms: Mapping, q_terms: Mapping) -> tuple[dict, int]:
@@ -461,6 +491,15 @@ def _sum_over(parts: list, den: int, at=None, const=None) -> tuple[dict, int]:
     if at is not None:
         _acc(out, at, const if common == 1 else const * common)
     return _reduced(out, den * common)
+
+
+def _shifted(value, low: int):
+    """An engine value with ``low`` added to every key: a memo entry
+    ``x_i * u`` carried over to ``x_i * (u + low)``."""
+    if type(value) is tuple:
+        terms, den = value
+        return {m + low: c for m, c in terms.items()}, den
+    return {m + low: c for m, c in value.items()}
 
 
 def _value(terms: dict, den: int):

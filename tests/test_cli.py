@@ -229,6 +229,15 @@ def test_gkdim_with_frame(files, capsys):
     assert report["results"]["estimate"]["method"] == "window_power"
 
 
+def test_gkdim_frame_without_parameters_claims_no_specialization(files, capsys):
+    code, report, _ = run_json(
+        capsys, "gkdim", files["dispin"], "--kmax", "8", "--frame", "1,x1",
+    )
+    assert code == 0
+    assert report["results"]["estimate"]["method"] == "span_growth"
+    assert [w["code"] for w in report["warnings"]] == ["finite-window-estimate"]
+
+
 def test_gr_dispin(files, capsys):
     code, report, _ = run_json(capsys, "gr", files["dispin"])
     assert code == 0
