@@ -33,8 +33,11 @@ try:
     # hashlib loads the OpenSSL binding on every call; the builtin module
     # gives the same digest (as random does for _sha512)
     from _sha256 import sha256
-except ImportError:  # Python 3.12 names it _sha2
-    from hashlib import sha256
+except ImportError:
+    try:  # Python 3.12 renamed it _sha2
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .catalog import (
     DEFAULT_BINDINGS,

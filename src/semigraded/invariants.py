@@ -327,9 +327,10 @@ def ggk_estimate(
     products of k window-D monomials reach every monomial of degree kD, one
     commutation at a time, because leading coefficients stay invertible.
     Any other frame is grown literally — S_{k+1} = span of (frame element) *
-    (row of S_k) — which is exact but only affordable while the window
-    F_{D*k_max} holding S_{k_max} stays small; past the cap a ValueError
-    explains the options.
+    (row of S_k) — which is exact but only affordable while the span stays
+    small: once its rank passes ``_GROWTH_DIMENSION_CAP`` a ValueError
+    explains the options.  A round that adds no row ends the growth, since
+    every later power spans the same space, so k_max itself costs nothing.
 
     One echelon serves the frame checks and the growth, its rows keyed by
     the rewrite engine's packed monomials, negated so that a row's pivot is
@@ -380,16 +381,9 @@ def ggk_estimate(
             _pointwise(points, dims), dict(full),
         )
 
-    ambient = comb(n + degree * k_max, n)
-    if ambient > _GROWTH_DIMENSION_CAP:
-        raise ValueError(
-            f"span growth would track a window of dimension {ambient} "
-            f"(> {_GROWTH_DIMENSION_CAP}); lower k_max or use a frame that "
-            "spans a full filtration window, which has a closed form"
-        )
     factors = [b for b in packed if set(b) != {0}]
     ranks = [0, len(echelon.pivots)]  # ranks[k] = f(k)
-    for _ in range(2, k_max + 1):
+    while frontier and len(ranks) <= k_max:
         fresh: list[dict] = []
         for b in factors:
             for row in frontier:
@@ -399,7 +393,16 @@ def ggk_estimate(
                     fresh.append({-key: x for key, x in added.items()})
         frontier = fresh
         ranks.append(len(echelon.pivots))
-    dims = tuple(ranks[k] for k in points)
+        if ranks[-1] > _GROWTH_DIMENSION_CAP:
+            raise ValueError(
+                f"span growth reached rank {ranks[-1]} at k = {len(ranks) - 1}, "
+                f"past _GROWTH_DIMENSION_CAP = {_GROWTH_DIMENSION_CAP}; lower "
+                "k_max or use a frame that spans a full filtration window, "
+                "which has a closed form"
+            )
+    # a round that adds no row ends the growth: every later power of the
+    # frame spans the same space
+    dims = tuple(ranks[min(k, len(ranks) - 1)] for k in points)
     return GkEstimate(
         _fit_slope(points, dims), "span_growth", k_max, points, dims,
         _pointwise(points, dims), dict(full),

@@ -211,6 +211,8 @@ class Diagnostics(_Record):
 # ---------------------------------------------------------------------------
 
 _PUNCT = set("{}(),;:=+-*/^")
+# ASCII only: str.isdigit also accepts superscripts and other scripts' digits
+_DIGITS = set("0123456789")
 
 
 class _Token(_Record):
@@ -235,9 +237,9 @@ def _tokenize(text: str) -> list:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 start = i
-                while i < len(raw) and raw[i].isdigit():
+                while i < len(raw) and raw[i] in _DIGITS:
                     i += 1
                 tokens.append(_Token("int", raw[start:i], lineno, start + 1))
                 continue

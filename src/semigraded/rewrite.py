@@ -15,6 +15,14 @@ other product is a sequence of such steps: a term x^alpha of a left factor
 multiplies the whole right factor one letter at a time, the last letter
 first, and so does a free word.
 
+One routine, ``_Engine._add``, adds every such step into a result: it adds
+``f * x_i * value`` (or ``f * value``) to a dict of numerators over one
+denominator.  A rewrite level, ``x_i * value`` and each term of a product or
+free-word sum all go through it, so Q with integer rules, Q with fractional
+rules and Q(params) share one loop; a sparse product on packed exponents
+likewise adds every term product into one structure (Monagan and Pearce,
+below).
+
 The memo is keyed by the head of the monomial only.  Let x_top be the last
 letter any relation's linear part uses (x1 if none does) and split
 m = u * v, where the tail v holds the letters from x_max(i, top) on.  Then
@@ -40,11 +48,13 @@ so that the product of two packed monomials always fits its fields.
 Over Q the engine computes in Python ``int`` only: rules and inputs enter
 as integer numerators over one denominator, and each memo entry holds
 integer numerators over one positive denominator, reduced so that the two
-are coprime.  Parts with different denominators are brought to their lcm
-by one scale factor per part, never per term.  Every result is divided
-out into ``Fraction`` once, when it leaves the engine, so callers only ever
-see field elements.  Over Q(params) the coefficients are the field's own
-scalars over denominator 1.
+are coprime.  ``_add`` scales each added term by one multiplier; where a
+value or memo entry has a denominator that the sum's does not cover, it
+first rescales the sum in place to their lcm, which only rules with
+denominators ever need.  Every result is divided out into ``Fraction``
+once, when it leaves the engine, so callers only ever see field elements.
+Over Q(params) the coefficients are the field's own scalars over
+denominator 1.
 """
 
 from __future__ import annotations
@@ -201,11 +211,6 @@ def _cleared(terms: Mapping) -> tuple[dict, int]:
     return {exp: c.numerator * (den // c.denominator) for exp, c in terms.items()}, den
 
 
-def _split(value) -> tuple[dict, int]:
-    """An engine value as ``(numerators, denominator)``."""
-    return value if type(value) is tuple else (value, 1)
-
-
 def _widen(terms: dict, den: int) -> dict:
     """Divide a fresh result's ``int`` numerators by ``den``, as
     ``Fraction``, in place, so that no ``int`` leaves the engine."""
@@ -222,22 +227,27 @@ def _widen(terms: dict, den: int) -> dict:
 class _Engine:
     """Memoized products over one presentation, on packed monomials.
 
-    ``unit[i]`` is the packed x_i, and ``x_i * m`` needs no rewriting
-    exactly when ``m < limit[i]`` (m has no letter before x_i); then it is
-    ``m + unit[i]``.  Such products are computed inline and never memoized.
-    The one memo table, ``_var``, holds every other ``x_i * u`` for the head
-    ``u = m - (m & tail[i])``, keyed by ``u + tag[i]``; ``tail[i]`` masks
-    the fields of the letters from x_max(i, top) on, which no rewrite of
-    ``x_i * u`` reaches, so ``x_i * m`` is that entry with ``m & tail[i]``
-    added to every key.
+    ``letter[i] = (limit, unit, tail, tag)`` describes x_i.  ``unit`` is the
+    packed x_i, and ``x_i * m`` needs no rewriting exactly when
+    ``m < limit`` (m has no letter before x_i); then it is ``m + unit``.
+    Such products are computed inline and never memoized.  The one memo
+    table, ``_var``, holds every other ``x_i * u`` for the head
+    ``u = m - (m & tail)``, keyed by ``u + tag``; ``tail`` masks the fields
+    of the letters from x_max(i, top) on, which no rewrite of ``x_i * u``
+    reaches, so ``x_i * m`` is that entry with ``m & tail`` added to every
+    key.  ``letter[None]`` has no letter: every key is below its limit and
+    moves by 0.
 
     An engine value is a dict of numerators whose denominator is 1, or a
     pair ``(numerators, den)`` with an ``int`` ``den > 1`` coprime to them;
     the bare dict adds no object per memo entry where none is needed.  Over
     Q the numerators are ``int``; over Q(params) they are field elements.
-    A memo entry gets a denominator other than 1 only from a rule with one,
-    so an ``integral`` engine (every rule over denominator 1, as every
-    parametric one is) holds bare dicts only and runs the plain loops.
+    A memo entry gets a denominator other than 1 only from a rule with one.
+
+    :meth:`_add` is the one place a product is added into a result: every
+    product, rewrite level and free word adds its terms through it, over Q
+    with integer or fractional rules and over Q(params) alike.  It is also
+    the one place where a cap on the size of engine results would go.
     """
 
     def __init__(self, presentation: AlgebraPresentation) -> None:
@@ -247,10 +257,11 @@ class _Engine:
         self.shifts = [_FIELD_BITS * (n - 1 - i) for i in range(n)]
         self.mask = (1 << _FIELD_BITS) - 1
         self.unit = [1 << s for s in self.shifts]
-        self.limit = [u << _FIELD_BITS for u in self.unit]
-        self.tag = [i << self.bits for i in range(n)]
         self.rational = not p.field.params
         self.one = 1 if self.rational else p.field.one
+        # rules[i][j] for x_j * x_i (i < j): the numerators of c, of the
+        # lower part as (letter, d) pairs with letter None for the constant,
+        # and their common denominator
         self.rules = [[None] * n for _ in range(n)]
         top = 0
         for (i, j), rel in p.relations.items():
@@ -259,16 +270,18 @@ class _Engine:
             if self.rational:
                 den = lcm(*(v.denominator for v in values))
                 values = tuple(v.numerator * (den // v.denominator) for v in values)
-            sparse = tuple((k, s) for k, s in enumerate(values[1:-1]) if s)
-            if sparse:
-                top = max(top, sparse[-1][0])
-            self.rules[i][j] = (
-                values[0], sparse, values[-1], den, rel.is_default(p.field)
-            )
-        self.tail = [(1 << _FIELD_BITS * (n - max(i, top))) - 1 for i in range(n)]
-        self.integral = all(
-            rule[3] == 1 for row in self.rules for rule in row if rule is not None
-        )
+            linear = [(k, s) for k, s in enumerate(values[1:-1]) if s]
+            if linear:
+                top = max(top, linear[-1][0])
+            if values[-1]:
+                linear.append((None, values[-1]))
+            self.rules[i][j] = (values[0], tuple(linear), den)
+        self.letter = {
+            i: (u << _FIELD_BITS, u, (1 << _FIELD_BITS * (n - max(i, top))) - 1,
+                i << self.bits)
+            for i, u in enumerate(self.unit)
+        }
+        self.letter[None] = (1 << self.bits, 0, 0, 0)
         self._var: dict = {}
 
     # packing at the public boundary
@@ -304,23 +317,83 @@ class _Engine:
         return {tuple([m >> s & mask for s in shifts]): c for m, c in terms.items()}
 
     # x_i * (packed ordered monomial) in normal form.  Cached results are
-    # immutable; all accumulation happens in fresh dicts.
-    def var_times_monomial(self, i: int, m: int):
-        if m < self.limit[i]:
-            return {m + self.unit[i]: self.one}
-        low = m & self.tail[i]
-        m -= low
-        value = self._var.get(m + self.tag[i])
-        if value is None:
-            value = self._peel(i, m)
-        return _shifted(value, low) if low else value
+    # immutable; all accumulation happens in fresh dicts, through _add.
+
+    def _add(self, out: dict, den: int, f, i: Optional[int], value) -> int:
+        """Add ``f * x_i * value`` into ``out``, or ``f * value`` when ``i``
+        is None, and return the denominator of ``out`` afterwards.
+
+        ``out`` holds numerators over ``den``, and ``f`` is a numerator over
+        1.  Every term is scaled by one multiplier, computed before the loop
+        and again only after a rescale: where the denominator of ``value``
+        or of a memo entry does not divide ``den``, ``out`` is brought to
+        their lcm in place (:func:`_rescale`).  Only rules with denominators
+        lead there; an integral engine checks one ``type`` per memo hit and
+        multiplies nothing when the multiplier is 1.
+        """
+        vd = 1
+        if type(value) is tuple:
+            value, vd = value
+            if den % vd:
+                den = _rescale(out, den, vd)
+        mult = f if den == 1 else f * (den // vd)
+        one = self.one
+        scaled = mult is not one and mult != one
+        lim, unit, tail, tag = self.letter[i]
+        var = self._var
+        get = out.get
+        # the engine's innermost loop: each sum is inlined
+        for m, cf in value.items():
+            if scaled:
+                cf *= mult
+            if m < lim:
+                m += unit
+                cur = get(m)
+                if cur is None:
+                    out[m] = cf
+                else:
+                    cur += cf
+                    if cur:
+                        out[m] = cur
+                    else:
+                        del out[m]
+                continue
+            low = m & tail
+            m -= low
+            product = var.get(m + tag)
+            # a memo hit is a bare dict unless a rule has a denominator
+            if type(product) is not dict:
+                if product is None:
+                    product = self._peel(i, m)
+                if type(product) is tuple:
+                    # cf is a multiple of pd once pd divides den // vd
+                    product, pd = product
+                    if den // vd % pd:
+                        common = _rescale(out, den, vd * pd)
+                        cf *= common // den
+                        mult *= common // den
+                        den = common
+                        scaled = True
+                    cf //= pd
+            for m2, c2 in product.items():
+                m2 += low
+                cur = get(m2)
+                if cur is None:
+                    out[m2] = cf * c2
+                else:
+                    cur += cf * c2
+                    if cur:
+                        out[m2] = cur
+                    else:
+                        del out[m2]
+        return den
 
     def _peel(self, i: int, m: int):
         """``x_i * m`` for an ``m`` whose first letter comes before x_i,
-        with no letter in ``tail[i]``, and whose product is not memoized
+        with no letter in x_i's ``tail``, and whose product is not memoized
         yet."""
         var = self._var
-        tag = self.tag[i]
+        tag = self.letter[i][3]
         # m = x_j^e * rest, x_j its first letter (j < i).  Walk down the
         # levels x_j^t * rest to the nearest one memoized (or t = 0), then
         # back up, one memo entry per level: no recursion per degree.
@@ -335,92 +408,27 @@ class _Engine:
                 break
             level -= step
         if value is None:
-            value = self.var_times_monomial(i, rest)
-        c, linear, const, den, default = self.rules[j][i]
+            value = self.var_times_poly(i, {rest: self.one})
+        c, lower, den = self.rules[j][i]
+        add, one = self._add, self.one
         while level != m:
             # x_i * x_j * level = (c*x_j*x_i + sum d_k*x_k + const) * level
-            if default:
-                value = self.var_times_poly(j, value)
-            elif self.integral:
-                out = self.var_times_poly(j, value)
-                if c != 1:
-                    out = {exp: c * cf for exp, cf in out.items()}
-                for k, d in linear:
-                    if level < self.limit[k]:
-                        _acc(out, level + self.unit[k], d)
-                        continue
-                    for exp, cf in self.var_times_monomial(k, level).items():
-                        _acc(out, exp, d * cf)
-                if const:
-                    _acc(out, level, const)
-                value = out
-            else:
-                parts = [(c, self.var_times_poly(j, value))]
-                for k, d in linear:
-                    parts.append((d, self.var_times_monomial(k, level)))
-                value = _value(*_sum_over(parts, den, level if const else None, const))
+            out: dict = {}
+            d = add(out, 1, c, j, value)
+            if lower:
+                at = {level: one}
+                for k, dk in lower:
+                    d = add(out, d, dk, k, at)
+            value = out if d == den == 1 else _value(*_reduced(out, d * den))
             level += step
             var[level + tag] = value
         return value
 
     def var_times_poly(self, i: int, value):
         """``x_i * value`` as an engine value."""
-        lim = self.limit[i]
-        unit = self.unit[i]
-        tail = self.tail[i]
-        var = self._var
-        tag = self.tag[i]
-        if self.integral:
-            out: dict = {}
-            get = out.get
-            # _acc inlined: this is the engine's innermost loop
-            for m, cf in value.items():
-                if m < lim:
-                    m += unit
-                    cur = get(m)
-                    if cur is None:
-                        out[m] = cf
-                    else:
-                        cur += cf
-                        if cur:
-                            out[m] = cur
-                        else:
-                            del out[m]
-                    continue
-                low = m & tail
-                m -= low
-                product = var.get(m + tag)
-                if product is None:
-                    product = self._peel(i, m)
-                for m2, c2 in product.items():
-                    m2 += low
-                    cur = get(m2)
-                    if cur is None:
-                        out[m2] = cf * c2
-                    else:
-                        cur += cf * c2
-                        if cur:
-                            out[m2] = cur
-                        else:
-                            del out[m2]
-            return out
-        terms, den = _split(value)
-        if max(terms, default=0) < lim:
-            # moving keys keeps the numerators coprime to den
-            return _value({m + unit: cf for m, cf in terms.items()}, den)
-        shifted = {}
-        parts = [(1, shifted)]
-        for m, cf in terms.items():
-            if m < lim:
-                shifted[m + unit] = cf
-                continue
-            low = m & tail
-            m -= low
-            product = var.get(m + tag)
-            if product is None:
-                product = self._peel(i, m)
-            parts.append((cf, _shifted(product, low) if low else product))
-        return _value(*_sum_over(parts, den))
+        out: dict = {}
+        den = self._add(out, 1, self.one, i, value)
+        return out if den == 1 else _value(*_reduced(out, den))
 
     def product(self, p_terms: Mapping, q_terms: Mapping) -> tuple[dict, int]:
         """Normal form of ``p * q`` on packed keys as ``(numerators, den)``,
@@ -428,20 +436,22 @@ class _Engine:
 
         Each term x^alpha of ``p`` multiplies all of ``q`` one letter at a
         time, the last letter first, through :meth:`var_times_poly`, so
-        every rewrite is a ``_var`` entry; a constant term scales ``q``.
-        A lone monomial's letter-loop result is fresh and returned as is.
+        every rewrite is a ``_var`` entry.  Its first letter, or for a
+        constant term the scalar alone, adds into the one result through
+        :meth:`_add`, so the result is always a fresh dict.
         """
         n, shifts, mask = self.n, self.shifts, self.mask
-        parts = []
+        out: dict = {}
+        den = 1
         for alpha, ca in p_terms.items():
-            value = q_terms
+            value, first = q_terms, None
             for i in range(n - 1, -1, -1):
                 for _ in range(alpha >> shifts[i] & mask):
-                    value = self.var_times_poly(i, value)
-            parts.append((ca, value))
-        if len(parts) == 1 and alpha and ca == self.one:
-            return _split(value)
-        return _sum_over(parts, 1)
+                    if first is not None:
+                        value = self.var_times_poly(first, value)
+                    first = i
+            den = self._add(out, den, ca, first, value)
+        return _reduced(out, den)
 
     def mixed_product(self, p_terms: Mapping, q_terms: Mapping) -> dict:
         """``p * q`` on packed keys for the element parser: ``int``
@@ -457,49 +467,14 @@ class _Engine:
         return terms if den == 1 else _widen(terms, den)
 
 
-def _sum_over(parts: list, den: int, at=None, const=None) -> tuple[dict, int]:
-    """``(sum(f * value for f, value in parts) + const * at) / den`` as
-    ``(numerators, denominator)``, reduced.
-
-    The sum runs over the lcm of the values' denominators, each value
-    scaled once; ``at`` is the monomial carrying the constant, if any.
-    """
-    common = 1
-    for _, value in parts:
-        if type(value) is tuple and common % value[1]:
-            common = lcm(common, value[1])
-    out: dict = {}
-    get = out.get
-    for f, terms in parts:
-        if type(terms) is tuple:
-            terms, d = terms
-            if d != common:
-                f = f * (common // d)
-        elif common != 1:
-            f = f * common
-        # _acc inlined, as in var_times_poly
-        for exp, c in terms.items():
-            cur = get(exp)
-            if cur is None:
-                out[exp] = f * c
-            else:
-                cur += f * c
-                if cur:
-                    out[exp] = cur
-                else:
-                    del out[exp]
-    if at is not None:
-        _acc(out, at, const if common == 1 else const * common)
-    return _reduced(out, den * common)
-
-
-def _shifted(value, low: int):
-    """An engine value with ``low`` added to every key: a memo entry
-    ``x_i * u`` carried over to ``x_i * (u + low)``."""
-    if type(value) is tuple:
-        terms, den = value
-        return {m + low: c for m, c in terms.items()}, den
-    return {m + low: c for m, c in value.items()}
+def _rescale(out: dict, den: int, d: int) -> int:
+    """Bring the numerators in ``out``, over ``den``, to the lcm of ``den``
+    and ``d``, in place; returns that lcm."""
+    common = lcm(den, d)
+    s = common // den
+    for m in out:
+        out[m] *= s
+    return common
 
 
 def _value(terms: dict, den: int):
@@ -516,19 +491,6 @@ def _reduced(terms: dict, den: int) -> tuple[dict, int]:
     if g == 1:
         return terms, den
     return {exp: c // g for exp, c in terms.items()}, den // g
-
-
-def _acc(out: dict, exp, val) -> None:
-    cur = out.get(exp)
-    if cur is None:
-        if val:
-            out[exp] = val
-    else:
-        s = cur + val
-        if s:
-            out[exp] = s
-        else:
-            del out[exp]
 
 
 def _engine(presentation: AlgebraPresentation) -> _Engine:
@@ -571,13 +533,14 @@ def free_to_normal_form(presentation: AlgebraPresentation, free: Mapping) -> NCP
     den = 1
     if eng.rational:
         free, den = _cleared(free)
-    parts = []
+    out: dict = {}
+    d = 1
     for word, coeff in free.items():
         value = {0: eng.one}
         for i in reversed(word):
             value = eng.var_times_poly(i, value)
-        parts.append((coeff, value))
-    return NCPoly(eng.unpack(_widen(*_sum_over(parts, den))))
+        d = eng._add(out, d, coeff, None, value)
+    return NCPoly(eng.unpack(_widen(out, d * den)))
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,24 @@ def test_span_growth_cap_names_the_limit():
     with pytest.raises(ValueError) as excinfo:
         ggk_estimate(p, frame=frame, k_max=200)
     assert "closed form" in str(excinfo.value)
+    assert "_GROWTH_DIMENSION_CAP" in str(excinfo.value)
+
+
+def test_span_growth_is_bounded_by_its_rank_not_the_window_or_k_max():
+    # weyl3's frame {1, x1} spans the polynomials in x1, of dimension k + 1
+    # at k; the window F_k of six variables would pass the cap at k = 8
+    p = parse_presentation((INPUTS / "weyl3.sgr").read_text())
+    frame = Frame((parse_element(p, "1"), parse_element(p, "x1")))
+    est = ggk_estimate(p, frame=frame, k_max=8)
+    assert est.method == "span_growth"
+    assert est.sample_points == (2, 3, 4, 5, 6, 7, 8)
+    assert est.dims == (3, 4, 5, 6, 7, 8, 9)
+    # {1} spans the same space at every power: one round adds nothing, and
+    # k_max is never walked
+    est = ggk_estimate(p, frame=Frame((parse_element(p, "1"),)), k_max=10**9)
+    assert est.method == "span_growth"
+    assert set(est.dims) == {1}
+    assert est.estimate == 0
 
 
 def test_frame_must_contain_unit():

@@ -256,6 +256,10 @@ EXPRESSION_ERRORS = [
     ("x1^(1/2)", "fractional exponent on a non-parameter", 3),
     ("x1^10001", "exponent 10001 exceeds _EXPONENT_CAP = 10000", 3),
     ("(" * 101 + "x1" + ")" * 101, "parentheses nested deeper than _NESTING_CAP = 100", 101),
+    # numbers are ASCII digits: a superscript two is no exponent, and an
+    # Arabic-Indic three is no 3
+    ("x1^\u00b2", "unexpected character '\u00b2'", 4),
+    ("\u0663*x1", "unexpected character '\u0663'", 1),
 ]
 
 

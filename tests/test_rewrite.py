@@ -15,6 +15,7 @@ from semigraded.presentation import (
     Relation,
     specialize_presentation,
 )
+from semigraded import rewrite
 from semigraded.rewrite import (
     NCPoly,
     _engine,
@@ -273,6 +274,63 @@ def test_products_against_word_oracle_over_mixed_rational_rules():
         got = nc_mul(p, a, b)
         assert got.terms == rewrite_product(p, a.terms, b.terms)
         _assert_fraction_coefficients(got)
+
+
+COPRIME = """
+algebra coprime {
+  vars: x1, x2, x3;
+  rel: x2*x1 = 1/2*x1*x2;
+  rel: x3*x1 = 1/3*x1*x3;
+  rel: x3*x2 = 5/7*x2*x3;
+}
+"""
+
+
+def test_coprime_rule_denominators_rescale_against_word_oracle(monkeypatch):
+    # a quasi-commutative space is always consistent; with rules over 2, 3
+    # and 7 the memo entries met in one sum have coprime denominators, so
+    # the sum is rescaled to their lcm as it goes
+    calls = []
+    rescale = rewrite._rescale
+
+    def counted(out, den, d):
+        calls.append((den, d))
+        return rescale(out, den, d)
+
+    monkeypatch.setattr(rewrite, "_rescale", counted)
+    p = parse_presentation(COPRIME)
+    assert check_pbw(p, samples=0).ok
+    rng = random.Random(23)
+    coeffs = [Fraction(1), Fraction(-2), Fraction(3, 5), Fraction(-1, 4)]
+
+    def element():
+        # up to three monomials of degree <= 4 and a constant term
+        terms = {
+            tuple(rng.randrange(3) for _ in range(p.n)): rng.choice(coeffs)
+            for _ in range(3)
+        }
+        terms[(0,) * p.n] = rng.choice(coeffs)
+        return NCPoly(terms)
+
+    for _ in range(15):
+        a, b = element(), element()
+        got = nc_mul(p, a, b)
+        assert got.terms == rewrite_product(p, a.terms, b.terms), (a, b)
+        _assert_fraction_coefficients(got)
+    products = len(calls)
+    assert products
+    for _ in range(15):
+        free = {
+            tuple(rng.randrange(p.n) for _ in range(rng.randint(0, 6))): rng.choice(coeffs)
+            for _ in range(3)
+        }
+        expected: dict = {}
+        for word, c in free.items():
+            for exp, v in rewrite_word(p, word).items():
+                expected[exp] = expected.get(exp, 0) + c * v
+        got = free_to_normal_form(p, free)
+        assert got.terms == {exp: v for exp, v in expected.items() if v}, free
+    assert len(calls) > products
 
 
 def test_engine_memo_holds_reduced_integer_fractions():
