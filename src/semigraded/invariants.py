@@ -327,10 +327,14 @@ def ggk_estimate(
     products of k window-D monomials reach every monomial of degree kD, one
     commutation at a time, because leading coefficients stay invertible.
     Any other frame is grown literally — S_{k+1} = span of (frame element) *
-    (row of S_k) — which is exact but only affordable while the span stays
-    small: once its rank passes ``_GROWTH_DIMENSION_CAP`` a ValueError
-    explains the options.  A round that adds no row ends the growth, since
-    every later power spans the same space, so k_max itself costs nothing.
+    (row of S_k) — which is exact but only affordable while the rows stay
+    in few monomials: once the products have used more than
+    ``_GROWTH_DIMENSION_CAP`` distinct monomials a ValueError explains the
+    options.  That count bounds the rank, the length of every row and, as
+    each round that goes on adds a row, the number of rounds; it never
+    exceeds the dimension of the window F_{D*k} that holds S_k.  A round
+    that adds no row ends the growth, since every later power spans the
+    same space, so k_max itself costs nothing.
 
     One echelon serves the frame checks and the growth, its rows keyed by
     the rewrite engine's packed monomials, negated so that a row's pivot is
@@ -382,24 +386,27 @@ def ggk_estimate(
         )
 
     factors = [b for b in packed if set(b) != {0}]
+    support = set().union(*packed)  # every monomial a row can hold
     ranks = [0, len(echelon.pivots)]  # ranks[k] = f(k)
     while frontier and len(ranks) <= k_max:
         fresh: list[dict] = []
         for b in factors:
             for row in frontier:
                 terms = eng.product(b, row)[0]
+                support.update(terms)
+                if len(support) > _GROWTH_DIMENSION_CAP:
+                    raise ValueError(
+                        f"span growth reached {len(support)} monomials at "
+                        f"k = {len(ranks)}, past _GROWTH_DIMENSION_CAP = "
+                        f"{_GROWTH_DIMENSION_CAP}; lower k_max or use a frame "
+                        "that spans a full filtration window, which has a "
+                        "closed form"
+                    )
                 added = echelon.insert({-m: x for m, x in terms.items()})
                 if added is not None:
                     fresh.append({-key: x for key, x in added.items()})
         frontier = fresh
         ranks.append(len(echelon.pivots))
-        if ranks[-1] > _GROWTH_DIMENSION_CAP:
-            raise ValueError(
-                f"span growth reached rank {ranks[-1]} at k = {len(ranks) - 1}, "
-                f"past _GROWTH_DIMENSION_CAP = {_GROWTH_DIMENSION_CAP}; lower "
-                "k_max or use a frame that spans a full filtration window, "
-                "which has a closed form"
-            )
     # a round that adds no row ends the growth: every later power of the
     # frame spans the same space
     dims = tuple(ranks[min(k, len(ranks) - 1)] for k in points)

@@ -21,7 +21,8 @@ denominator.  A rewrite level, ``x_i * value`` and each term of a product or
 free-word sum all go through it, so Q with integer rules, Q with fractional
 rules and Q(params) share one loop; a sparse product on packed exponents
 likewise adds every term product into one structure (Monagan and Pearce,
-below).
+below).  The one exception is the lower letters of a rewrite level, each a
+single term or memo entry, which the level adds inline.
 
 The memo is keyed by the head of the monomial only.  Let x_top be the last
 letter any relation's linear part uses (x1 if none does) and split
@@ -246,7 +247,9 @@ class _Engine:
 
     :meth:`_add` is the one place a product is added into a result: every
     product, rewrite level and free word adds its terms through it, over Q
-    with integer or fractional rules and over Q(params) alike.  It is also
+    with integer or fractional rules and over Q(params) alike; only a
+    rewrite level's lower letters add inline, in :meth:`_peel`.  Every
+    result that leaves the engine is summed by ``_add`` last, so it is also
     the one place where a cap on the size of engine results would go.
     """
 
@@ -392,8 +395,8 @@ class _Engine:
         """``x_i * m`` for an ``m`` whose first letter comes before x_i,
         with no letter in x_i's ``tail``, and whose product is not memoized
         yet."""
-        var = self._var
-        tag = self.letter[i][3]
+        var, one = self._var, self.one
+        lim, unit, _, tag = self.letter[i]
         # m = x_j^e * rest, x_j its first letter (j < i).  Walk down the
         # levels x_j^t * rest to the nearest one memoized (or t = 0), then
         # back up, one memo entry per level: no recursion per degree.
@@ -408,17 +411,48 @@ class _Engine:
                 break
             level -= step
         if value is None:
-            value = self.var_times_poly(i, {rest: self.one})
+            # x_i * rest: rest has no letter in x_i's tail, so the memo entry
+            # is the product itself
+            if rest < lim:
+                value = {rest + unit: one}
+            else:
+                value = var.get(rest + tag)
+                if value is None:
+                    value = self._peel(i, rest)
         c, lower, den = self.rules[j][i]
-        add, one = self._add, self.one
+        add, letter = self._add, self.letter
         while level != m:
             # x_i * x_j * level = (c*x_j*x_i + sum d_k*x_k + const) * level
             out: dict = {}
             d = add(out, 1, c, j, value)
-            if lower:
-                at = {level: one}
-                for k, dk in lower:
-                    d = add(out, d, dk, k, at)
+            # The lower letters add here, not through _add: each is one
+            # term or one memo entry, and a call per letter and level made
+            # deep products 2-3% slower.  An entry with a denominator still
+            # goes through _add, which rescales.
+            for k, dk in lower:
+                klim, kunit, ktail, ktag = letter[k]
+                if level < klim:
+                    terms, low = {level + kunit: one}, 0
+                else:
+                    low = level & ktail
+                    terms = var.get(level - low + ktag)
+                    if terms is None:
+                        terms = self._peel(k, level - low)
+                    if type(terms) is tuple:
+                        d = add(out, d, dk, k, {level: one})
+                        continue
+                f = dk * d
+                for e, cf in terms.items():
+                    e += low
+                    cur = out.get(e)
+                    if cur is None:
+                        out[e] = f * cf
+                    else:
+                        cur += f * cf
+                        if cur:
+                            out[e] = cur
+                        else:
+                            del out[e]
             value = out if d == den == 1 else _value(*_reduced(out, d * den))
             level += step
             var[level + tag] = value

@@ -229,17 +229,6 @@ def test_gkdim_with_frame(files, capsys):
     assert report["results"]["estimate"]["method"] == "window_power"
 
 
-def test_gkdim_span_growth_ends_when_the_span_does(files, capsys):
-    # a frame whose powers all span the same space answers at any --kmax
-    code, report, _ = run_json(
-        capsys, "gkdim", files["dispin"], "--kmax", "1000000000", "--frame", "1",
-    )
-    assert code == 0
-    estimate = report["results"]["estimate"]
-    assert estimate["method"] == "span_growth"
-    assert [s["dim"] for s in estimate["samples"]] == [1] * 7
-
-
 def test_gkdim_frame_without_parameters_claims_no_specialization(files, capsys):
     code, report, _ = run_json(
         capsys, "gkdim", files["dispin"], "--kmax", "8", "--frame", "1,x1",
@@ -452,12 +441,16 @@ def test_a_huge_exponent_is_refused_in_bounded_time(files, package_env):
     (("nf", "qspace", "((q12^10000)^10000)^10000*x1"), "_PARAM_EXPONENT_LIMIT"),
     (("gkdim", "dispin", "--frame", "1,x1,x2", "--kmax", "1000"),
      "_GROWTH_DIMENSION_CAP"),
-], ids=["nesting", "trunc", "window", "param_exponent", "growth_rank"])
+    (("gkdim", "dispin", "--frame", "1,x1*x3"), "_GROWTH_DIMENSION_CAP"),
+], ids=["nesting", "trunc", "window", "param_exponent", "growth", "growth_rows"])
 def test_input_past_a_cap_is_refused_in_bounded_time(files, package_env, argv, cap):
     # the parser recurses once per parenthesis; the series lists one
     # coefficient per degree; a window's work grows with its dimension; a
     # parameter exponent of several would leave its packed field; a grown
-    # span's work grows with its rank, which passes the cap at k = 76
+    # span's work grows with the monomials its rows use, which bound its
+    # rank and each row's length: {1, x1, x2} passes the cap at k = 76 with
+    # rank near the cap, {1, x1*x3} at k = 77 with rank 77 and rows of
+    # up to 2,851 terms
     command, name, *rest = argv
     proc = subprocess.run(
         [sys.executable, "-m", "semigraded", command, files[name], *rest,

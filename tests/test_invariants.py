@@ -269,9 +269,9 @@ def test_span_growth_cap_names_the_limit():
     assert "_GROWTH_DIMENSION_CAP" in str(excinfo.value)
 
 
-def test_span_growth_is_bounded_by_its_rank_not_the_window_or_k_max():
-    # weyl3's frame {1, x1} spans the polynomials in x1, of dimension k + 1
-    # at k; the window F_k of six variables would pass the cap at k = 8
+def test_span_growth_is_bounded_by_its_monomials_not_the_window_or_k_max():
+    # weyl3's frame {1, x1} spans the polynomials in x1, k + 1 monomials at
+    # k; the window F_k of six variables would pass the cap at k = 8
     p = parse_presentation((INPUTS / "weyl3.sgr").read_text())
     frame = Frame((parse_element(p, "1"), parse_element(p, "x1")))
     est = ggk_estimate(p, frame=frame, k_max=8)
