@@ -327,14 +327,11 @@ def ggk_estimate(
     products of k window-D monomials reach every monomial of degree kD, one
     commutation at a time, because leading coefficients stay invertible.
     Any other frame is grown literally — S_{k+1} = span of (frame element) *
-    (row of S_k) — which is exact but only affordable while the rows stay
-    in few monomials: once the products have used more than
-    ``_GROWTH_DIMENSION_CAP`` distinct monomials a ValueError explains the
-    options.  That count bounds the rank, the length of every row and, as
-    each round that goes on adds a row, the number of rounds; it never
-    exceeds the dimension of the window F_{D*k} that holds S_k.  A round
-    that adds no row ends the growth, since every later power spans the
-    same space, so k_max itself costs nothing.
+    (row of S_k) — which is exact but only affordable while the rows use
+    few monomials, which bounds their rank and length: past
+    ``_GROWTH_DIMENSION_CAP`` of them (at most dim F_{D*k}) a ValueError
+    explains the options.  A round that adds no row ends the growth, since
+    every later power spans the same space, so k_max itself costs nothing.
 
     One echelon serves the frame checks and the growth, its rows keyed by
     the rewrite engine's packed monomials, negated so that a row's pivot is
@@ -396,11 +393,10 @@ def ggk_estimate(
                 support.update(terms)
                 if len(support) > _GROWTH_DIMENSION_CAP:
                     raise ValueError(
-                        f"span growth reached {len(support)} monomials at "
-                        f"k = {len(ranks)}, past _GROWTH_DIMENSION_CAP = "
-                        f"{_GROWTH_DIMENSION_CAP}; lower k_max or use a frame "
-                        "that spans a full filtration window, which has a "
-                        "closed form"
+                        f"span growth reached {len(support)} monomials at k = "
+                        f"{len(ranks)}, past _GROWTH_DIMENSION_CAP = "
+                        f"{_GROWTH_DIMENSION_CAP}; lower k_max or use a frame that "
+                        "spans a full filtration window, which has a closed form"
                     )
                 added = echelon.insert({-m: x for m, x in terms.items()})
                 if added is not None:

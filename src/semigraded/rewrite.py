@@ -320,7 +320,8 @@ class _Engine:
         return {tuple([m >> s & mask for s in shifts]): c for m, c in terms.items()}
 
     # x_i * (packed ordered monomial) in normal form.  Cached results are
-    # immutable; all accumulation happens in fresh dicts, through _add.
+    # immutable; all accumulation happens in fresh dicts, through _add but
+    # for a rewrite level's lower letters.
 
     def _add(self, out: dict, den: int, f, i: Optional[int], value) -> int:
         """Add ``f * x_i * value`` into ``out``, or ``f * value`` when ``i``
@@ -410,49 +411,35 @@ class _Engine:
             if value is not None:
                 break
             level -= step
-        if value is None:
-            # x_i * rest: rest has no letter in x_i's tail, so the memo entry
-            # is the product itself
-            if rest < lim:
-                value = {rest + unit: one}
-            else:
-                value = var.get(rest + tag)
-                if value is None:
-                    value = self._peel(i, rest)
+        if value is None:  # x_i * rest, whose tail is empty as m's is
+            value = ({rest + unit: one} if rest < lim
+                     else var.get(rest + tag) or self._peel(i, rest))
         c, lower, den = self.rules[j][i]
         add, letter = self._add, self.letter
         while level != m:
             # x_i * x_j * level = (c*x_j*x_i + sum d_k*x_k + const) * level
             out: dict = {}
             d = add(out, 1, c, j, value)
-            # The lower letters add here, not through _add: each is one
-            # term or one memo entry, and a call per letter and level made
-            # deep products 2-3% slower.  An entry with a denominator still
-            # goes through _add, which rescales.
+            # each lower letter is one term or memo entry, added inline: an
+            # _add call per letter and level cost deep products 2-3%
             for k, dk in lower:
                 klim, kunit, ktail, ktag = letter[k]
                 if level < klim:
                     terms, low = {level + kunit: one}, 0
                 else:
                     low = level & ktail
-                    terms = var.get(level - low + ktag)
-                    if terms is None:
-                        terms = self._peel(k, level - low)
+                    terms = var.get(level - low + ktag) or self._peel(k, level - low)
                     if type(terms) is tuple:
                         d = add(out, d, dk, k, {level: one})
                         continue
                 f = dk * d
                 for e, cf in terms.items():
                     e += low
-                    cur = out.get(e)
-                    if cur is None:
-                        out[e] = f * cf
+                    cur = out.get(e, 0) + f * cf
+                    if cur:
+                        out[e] = cur
                     else:
-                        cur += f * cf
-                        if cur:
-                            out[e] = cur
-                        else:
-                            del out[e]
+                        del out[e]
             value = out if d == den == 1 else _value(*_reduced(out, d * den))
             level += step
             var[level + tag] = value
