@@ -78,7 +78,8 @@ class CatalogEntry(_FrozenRecord):
 
     ``table_n`` is the series exponent as recorded (symbolic expressions in
     n, m, r allowed); ``gh_string`` / ``gp_string`` are the recorded series
-    and polynomial.  ``builders`` maps variant names to presentation
+    and polynomial, ``explicit_gp`` its (denominator, numerators
+    constant-first) if given.  ``builders`` maps variant names to presentation
     builders taking a bindings map; ``stated_q_matrix`` is the recorded
     coefficient matrix of the associated graded ring ("ones" for the
     commutative case), compared entrywise during verification.
@@ -88,20 +89,7 @@ class CatalogEntry(_FrozenRecord):
         "key", "name", "table_id", "table_n", "gh_string", "gp_string",
         "explicit_gp", "builders", "stated_q_matrix", "notes",
     )
-
-    def __init__(
-        self, key: str, name: str, table_id: int, table_n: str, gh_string: str,
-        gp_string: str,
-        explicit_gp: Optional[tuple] = None,  # (denominator, numerators constant-first)
-        builders: tuple = (),  # ((variant_name, builder), ...)
-        stated_q_matrix: object = None,  # "ones" | tuple of tuples of expressions
-        notes: tuple = (),
-    ) -> None:
-        vars(self).update(
-            key=key, name=name, table_id=table_id, table_n=table_n,
-            gh_string=gh_string, gp_string=gp_string, explicit_gp=explicit_gp,
-            builders=builders, stated_q_matrix=stated_q_matrix, notes=notes,
-        )
+    _defaults = {"explicit_gp": None, "builders": (), "stated_q_matrix": None, "notes": ()}
 
     @property
     def executable(self) -> bool:

@@ -185,8 +185,8 @@ def _gp_divergence_warnings(n: int) -> list:
 def _require_basis(p) -> None:
     """Refuse a presentation whose overlaps do not resolve.
 
-    The answers of ``hilbert``, ``gkdim`` and ``ideal-window`` hold only when
-    the ordered monomials form a basis, which the overlaps alone prove
+    The answers of ``nf``, ``gr``, ``hilbert``, ``gkdim`` and ``ideal-window``
+    hold only when the ordered monomials form a basis, which the overlaps alone prove
     (Bergman's diamond lemma); the random triples of ``validate`` are skipped.
     """
     failures = check_pbw(p, samples=0).failures
@@ -371,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("file")
     s.add_argument("expression")
-    s.set_defaults(run=_cmd_nf)
+    s.set_defaults(run=_cmd_nf, gated=True)
 
     s = sub.add_parser(
         "hilbert", parents=[shared],
@@ -396,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "gr", parents=[shared], help="associated graded presentation"
     )
     s.add_argument("file")
-    s.set_defaults(run=_cmd_gr)
+    s.set_defaults(run=_cmd_gr, gated=True)
 
     s = sub.add_parser(
         "ideal-window", parents=[shared],

@@ -108,9 +108,6 @@ class FiltrationWindow(_FrozenRecord):
 
     _fields = ("gens", "d", "basis")
 
-    def __init__(self, gens: tuple, d: int, basis: tuple) -> None:
-        vars(self).update(gens=gens, d=d, basis=basis)
-
     @property
     def n(self) -> int:
         return len(self.gens)
@@ -295,12 +292,8 @@ class WindowSubspace(_Record):
 
     _fields = ("window", "specialization", "pivots")
 
-    def __init__(
-        self, window: FiltrationWindow, specialization: dict, pivots: list, echelon: Echelon
-    ) -> None:
-        self.window = window
-        self.specialization = specialization
-        self.pivots = pivots
+    def __init__(self, window, specialization, pivots, echelon: Echelon) -> None:
+        super().__init__(window, specialization, pivots)
         self.echelon = echelon
 
     @cached_property
@@ -402,11 +395,7 @@ class SemigradedReport(_Record):
     """
 
     _fields = ("ok", "window_degree", "witness")
-
-    def __init__(self, ok: bool, window_degree: int, witness: Optional[dict] = None) -> None:
-        self.ok = ok
-        self.window_degree = window_degree
-        self.witness = witness
+    _defaults = {"witness": None}
 
     def to_dict(self) -> dict:
         return {

@@ -71,15 +71,6 @@ class HilbertData(_Record):
         "polynomial_coefficients",
     )
 
-    def __init__(
-        self, n: int, series_denominator_exponent: int, truncated_coefficients: tuple,
-        polynomial_coefficients: Optional[tuple],
-    ) -> None:
-        self.n = n
-        self.series_denominator_exponent = series_denominator_exponent
-        self.truncated_coefficients = truncated_coefficients
-        self.polynomial_coefficients = polynomial_coefficients
-
     @property
     def ggk(self) -> int:
         return self.n
@@ -245,18 +236,7 @@ class GkEstimate(_Record):
         "estimate", "method", "k_max", "sample_points", "dims", "pointwise",
         "specialization",
     )
-
-    def __init__(
-        self, estimate: float, method: str, k_max: int, sample_points: tuple,
-        dims: tuple, pointwise: tuple, specialization: Optional[dict] = None,
-    ) -> None:
-        self.estimate = estimate
-        self.method = method
-        self.k_max = k_max
-        self.sample_points = sample_points
-        self.dims = dims
-        self.pointwise = pointwise
-        self.specialization = specialization
+    _defaults = {"specialization": None}
 
     def to_dict(self) -> dict:
         return {

@@ -91,13 +91,6 @@ class Relation(_Record):
 
     _fields = ("i", "j", "c", "linear", "constant")
 
-    def __init__(self, i: int, j: int, c: Scalar, linear: tuple, constant: Scalar) -> None:
-        self.i = i
-        self.j = j
-        self.c = c
-        self.linear = linear
-        self.constant = constant
-
     def is_default(self, field: ScalarField) -> bool:
         return (
             self.c == field.one
@@ -122,13 +115,6 @@ class AlgebraPresentation(_Record):
     #: Scalars commute with the generators (no twisting maps act on them).
     coefficient_action = "central"
 
-    def __init__(self, name: str, field: ScalarField, gens: tuple, relations: dict) -> None:
-        self.name = name
-        self.field = field
-        self.gens = gens
-        self.relations = relations
-        self._caches: Optional[dict] = None
-
     @property
     def n(self) -> int:
         return len(self.gens)
@@ -138,9 +124,7 @@ class AlgebraPresentation(_Record):
 
     def runtime_caches(self) -> dict:
         """Mutable per-presentation scratch space (rewrite memo tables)."""
-        if self._caches is None:
-            self._caches = {}
-        return self._caches
+        return vars(self).setdefault("_caches", {})
 
 
 def make_presentation(
@@ -152,27 +136,19 @@ def make_presentation(
     """Build a presentation, filling unmentioned pairs with commutation."""
     gens = tuple(gens)
     n = len(gens)
-    complete: dict = {}
     zeros = tuple(field.zero for _ in range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            complete[(i, j)] = Relation(i, j, field.one, zeros, field.zero)
-    for key, rel in relations.items():
-        complete[key] = rel
+    complete = {
+        (i, j): relations.get((i, j)) or Relation(i, j, field.one, zeros, field.zero)
+        for i in range(n) for j in range(i + 1, n)
+    }
+    complete.update(relations)
     return AlgebraPresentation(name, field, gens, complete)
 
 
 class Finding(_Record):
+    # severity: "error" | "warning" | "info"
     _fields = ("severity", "code", "message", "line", "col")
-
-    def __init__(
-        self, severity: str, code: str, message: str, line: int = 0, col: int = 0
-    ) -> None:
-        self.severity = severity  # "error" | "warning" | "info"
-        self.code = code
-        self.message = message
-        self.line = line
-        self.col = col
+    _defaults = {"line": 0, "col": 0}
 
     def to_dict(self) -> dict:
         d = {"severity": self.severity, "code": self.code, "message": self.message}
@@ -187,11 +163,6 @@ class Diagnostics(_Record):
     """Validation outcome: findings plus structural classification flags."""
 
     _fields = ("findings", "quasi_commutative", "bijective")
-
-    def __init__(self, findings: list, quasi_commutative: bool, bijective: bool) -> None:
-        self.findings = findings
-        self.quasi_commutative = quasi_commutative
-        self.bijective = bijective
 
     @property
     def valid(self) -> bool:
@@ -215,8 +186,8 @@ _PUNCT = set("{}(),;:=+-*/^")
 _DIGITS = set("0123456789")
 
 
-class _Token(_Record):
-    _fields = ("kind", "text", "line", "col")
+class _Token:
+    __slots__ = ("kind", "text", "line", "col")
 
     def __init__(self, kind: str, text: str, line: int, col: int) -> None:
         self.kind = kind  # "name" | "int" | one of _PUNCT | "eof"
@@ -816,12 +787,13 @@ def specialize_presentation(
     """Numeric instance of a presentation over the parameter-free field.
 
     Returns ``(specialized_presentation, full_assignment)``.  Rejects
-    assignments that zero any leading coefficient c_ij or any denominator.
+    unknown names, on every field, and assignments that zero any leading
+    coefficient c_ij or any denominator.
     """
     p = presentation
-    if not p.field.params:
-        return p, {}
     full = p.field.resolve_assignment(assignment)
+    if not p.field.params:
+        return p, full
     plain = ScalarField(())
     relations = {}
     for key, rel in p.relations.items():

@@ -297,6 +297,12 @@ class _Engine:
         m = 0
         for e in exponents:
             m = m << _FIELD_BITS | e
+        # a negative entry leaves m negative
+        if m < 0 or len(exponents) != self.n:
+            raise ValueError(
+                f"exponent vector {tuple(exponents)} should have one nonnegative "
+                f"entry per generator, {self.n} in all"
+            )
         return m
 
     def pack(self, terms: Mapping) -> tuple[dict, int]:
@@ -583,17 +589,12 @@ class PbwReport(_Record):
         "ok", "triples_checked", "sample_triples_checked", "degree_bound", "seed",
         "failures",
     )
+    _defaults = {"failures": None}
 
-    def __init__(
-        self, ok: bool, triples_checked: int, sample_triples_checked: int,
-        degree_bound: int, seed: int, failures: Optional[list] = None,
-    ) -> None:
-        self.ok = ok
-        self.triples_checked = triples_checked
-        self.sample_triples_checked = sample_triples_checked
-        self.degree_bound = degree_bound
-        self.seed = seed
-        self.failures = [] if failures is None else failures
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.failures is None:
+            self.failures = []  # a fresh list for each report
 
     def to_dict(self) -> dict:
         return {

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Mapping, Optional, Union
 
 __all__ = [
@@ -64,16 +64,42 @@ def _is_identifier(name: str) -> bool:
 
 
 class _Record:
-    """Field-wise ``==`` and ``repr`` for the package's plain record classes.
+    """Construction, ``==`` and ``repr`` for the package's plain record classes.
 
     A subclass lists in ``_fields``, in constructor order, the fields that
     equality and the repr cover; other attributes, such as scratch caches,
-    take no part.  Records compare equal only to records of the same class
-    and are unhashable; frozen ones derive from :class:`_FrozenRecord`.
+    take no part.  The constructor binds positional and keyword arguments to
+    ``_fields``; a field the caller omits takes its value in ``_defaults``,
+    which every instance shares, so it must be immutable.  Records compare
+    equal only to records of the same class and are unhashable; frozen ones
+    derive from :class:`_FrozenRecord`.
     """
 
     __slots__ = ()
     _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        vars(self).update(zip(self._fields, args))
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The value of every field, in ``_fields`` order."""
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} fields, got {len(args)}")
+        given = dict(zip(fields, args))
+        for field in kwargs:
+            if field in given or field not in fields:
+                what = "twice" if field in given else "as an unknown field"
+                raise TypeError(f"{name}() got {field!r} {what}")
+        values = {**cls._defaults, **given, **kwargs}
+        missing = [field for field in fields if field not in values]
+        if missing:
+            raise TypeError(f"{name}() is missing field(s) {', '.join(missing)}")
+        return tuple([values[field] for field in fields])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -93,7 +119,7 @@ class _Record:
 class _FrozenRecord(_Record):
     """An immutable :class:`_Record`, hashed by its fields.
 
-    ``__init__`` stores the fields through ``vars(self)``; any later
+    Constructors store the fields through ``vars(self)``; any later
     assignment or deletion raises ``AttributeError``.
     """
 
@@ -188,6 +214,7 @@ class ScalarField:
             self.zero: Scalar = ParamScalar(self, {}, self._unit)
             self.one: Scalar = ParamScalar(self, {0: 1}, self._unit)
         else:
+            self._units = ()
             self.zero = Fraction(0)
             self.one = Fraction(1)
 
@@ -242,9 +269,7 @@ class ScalarField:
         may keep them, so callers must not modify them afterwards.
         """
         if not self.params:
-            n = num if isinstance(num, int) else int(num)
-            d = 1 if den is None else (den if isinstance(den, int) else int(den))
-            return Fraction(n, d)
+            return Fraction(index(num), 1 if den is None else index(den))
         num = self._poly(num)
         if den is None or den is self._unit:
             if not num:
@@ -304,7 +329,8 @@ class ScalarField:
                 raise _exponent_overflow(self._exponents(e))
 
     def _poly(self, p) -> dict:
-        if isinstance(p, int):
+        if not isinstance(p, dict):
+            p = index(p)
             return {0: p} if p else {}
         if 0 in p.values():
             return {e: c for e, c in p.items() if c}
@@ -319,6 +345,11 @@ class ScalarField:
     def _checked_key(self, exponents) -> int:
         """The key of an exponent vector from outside the field's arithmetic."""
         exponents = tuple(exponents)
+        if len(exponents) != len(self._units):
+            raise ValueError(
+                f"exponent vector {exponents} should have one entry per "
+                f"parameter, {len(self._units)} in all"
+            )
         if len(self._units) > 1 and any(
             not -_PARAM_EXPONENT_LIMIT <= e < _PARAM_EXPONENT_LIMIT for e in exponents
         ):
@@ -339,9 +370,11 @@ class ScalarField:
             key = (key - e) >> _FIELD_BITS
         return tuple(out)
 
-    def _pack(self, p: Mapping) -> dict:
-        """``{exponent tuple: int}`` on keys."""
-        return {self._checked_key(e): c for e, c in p.items()}
+    def _pack(self, p: Mapping):
+        """``{exponent tuple: int}`` on keys; with no parameters, the int
+        at the empty tuple."""
+        packed = {self._checked_key(e): index(c) for e, c in p.items()}
+        return packed if self.params else packed.get(0, 0)
 
     def _unpack(self, p: Mapping) -> dict:
         """``{key: int}`` on exponent tuples."""
@@ -431,10 +464,9 @@ class ScalarField:
 
         The assignment value is bound to the root indeterminate of each
         parameter.  Raises :class:`SpecializationError` if a denominator
-        vanishes, including the monomial part kept as negative exponents.
+        vanishes, including the monomial part kept as negative exponents,
+        and :meth:`resolve_assignment`'s errors on every field.
         """
-        if not self.params:
-            return Fraction(x)
         return self.evaluate(x, self.resolve_assignment(assignment))
 
     def evaluate(self, x: Scalar, full: Mapping[str, Fraction]) -> Fraction:
@@ -683,8 +715,9 @@ class ParamScalar:
 def scalar_normalize(field: ScalarField, num, den=None) -> Scalar:
     """Canonical reduced fraction of two integer-coefficient polynomials.
 
-    Dict arguments map exponent tuples to ints; they are copied, so the
-    caller may modify them afterwards.
+    Dict arguments map exponent tuples to ints (``{(): k}`` on the
+    parameter-free field); they are copied, so the caller may modify them
+    afterwards.  A coefficient that is not an ``int`` raises ``TypeError``.
     """
     if isinstance(num, dict):
         num = field._pack(num)

@@ -348,6 +348,13 @@ def test_exit_codes(files, tmp_path, capsys):
     code, _, err = run(capsys, "gkdim", files["qplane"], "--specialize", "zz=3")
     assert code == 1 and "unknown parameter" in err
 
+    # a presentation without parameters refuses every name
+    code, _, err = run(
+        capsys, "ideal-window", files["dispin"], "--gens", "x1", "--degree", "2",
+        "--specialize", "q=3",
+    )
+    assert code == 1 and "unknown parameter 'q'" in err
+
 
 def test_no_arguments_is_a_usage_error(capsys):
     assert main([]) == 2
@@ -414,6 +421,8 @@ def test_nf_of_a_high_power_ends_in_bounded_time(files, package_env):
     ("hilbert", "--poly"),
     ("gkdim",),
     ("ideal-window", "--gens", "x1", "--degree", "3"),
+    ("nf", "x3*x2*x1"),
+    ("gr",),
 ])
 def test_answers_need_resolving_overlaps(files, capsys, name, argv):
     command, *flags = argv

@@ -4,12 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from semigraded.catalog import catalog_entry
-from semigraded.grading import is_semigraded_window, left_ideal_window
-from semigraded.invariants import Frame, ggk_estimate, hilbert_series
+from semigraded.catalog import CatalogEntry, catalog_entry
+from semigraded.grading import (
+    Echelon,
+    FiltrationWindow,
+    SemigradedReport,
+    WindowSubspace,
+    is_semigraded_window,
+    left_ideal_window,
+)
+from semigraded.invariants import Frame, GkEstimate, HilbertData, ggk_estimate, hilbert_series
 from semigraded.presentation import (
+    AlgebraPresentation,
+    Diagnostics,
     Finding,
     PresentationError,
+    Relation,
     associated_graded,
     make_presentation,
     parse_element,
@@ -20,8 +30,14 @@ from semigraded.presentation import (
     specialize_presentation,
     validate,
 )
-from semigraded.rewrite import PbwReport, check_pbw, nc_mul, variable
-from semigraded.scalars import ParamDecl, ScalarField
+from semigraded.rewrite import NCPoly, PbwReport, check_pbw, nc_mul, variable
+from semigraded.scalars import (
+    ParamDecl,
+    ScalarField,
+    SpecializationError,
+    _FrozenRecord,
+    _Record,
+)
 
 USO3 = """
 algebra uso3 {
@@ -119,23 +135,30 @@ algebra solved {
 
 
 def test_square_words_rejected():
-    text = """
-algebra sklyanin {
-  vars: x, y, z;
-  rel: y*x = x*y + z^2;
-}
+    # and every other relation that has no canonical form xj*xi = c*xi*xj + lower
+    for relation, expected in (
+        ("y*x = x*y + z^2", "square word z*z"),
+        ("x = y + 1", "no degree-2 part"),
+        ("w*x = x*w + y*z", "different generator pairs"),  # Manin's relation
+        ("y*x = x*y*z", "word of length >= 3"),
+        ("x*y = z", "no y*x term"),
+        ("y*x = z", "coefficient of x*y must be nonzero"),
+    ):
+        text = f"""
+algebra sklyanin {{
+  vars: x, y, z, w;
+  rel: {relation};
+}}
 """
-    with pytest.raises(PresentationError) as excinfo:
-        parse_presentation(text)
-    message = str(excinfo.value)
-    assert "z*z" in message
-    assert "line 4" in message
+        with pytest.raises(PresentationError) as excinfo:
+            parse_presentation(text)
+        message = str(excinfo.value)
+        assert expected in message
+        assert "line 4" in message
 
 
 def test_zero_main_coefficient_rejected_by_validate():
     field = ScalarField(())
-    from semigraded.presentation import Relation
-
     relations = {
         (0, 1): Relation(0, 1, field.zero, (field.zero, field.zero), field.zero)
     }
@@ -143,6 +166,29 @@ def test_zero_main_coefficient_rejected_by_validate():
     diag = validate(p)
     assert not diag.valid
     assert any(f.code == "zero-coefficient" for f in diag.findings)
+
+    # and every other malformation that the parser cannot produce
+    one, zero = field.one, field.zero
+    for gens, relations, code, message in (
+        (("x1", "2y"), {}, "bad-generator", "'2y' is not an identifier"),
+        (("x1", "x1"), {}, "bad-generator", "duplicate generator names"),
+        (("x1", "x2"), {(0, 2): Relation(0, 2, one, (zero,) * 2, zero)},
+         "bad-indices", "do not cover exactly the pairs"),
+        (("x1", "x2"), {(0, 1): Relation(1, 0, one, (zero,) * 2, zero)},
+         "bad-indices", "stored at (0, 1) labeled (1, 0)"),
+        (("x1", "x2"), {(0, 1): Relation(0, 1, one, (zero,), zero)},
+         "malformed-linear", "has 1 linear coefficients, expected 2"),
+    ):
+        diag = validate(make_presentation("broken", field, gens, relations))
+        assert not diag.valid
+        assert [f.code for f in diag.findings] == [code]
+        assert message in diag.findings[0].message
+        assert diag.to_dict()["findings"] == [
+            {"severity": "error", "code": code, "message": diag.findings[0].message,
+             "location": None}
+        ]
+    located = Finding("warning", "c", "m", line=3, col=7).to_dict()
+    assert located["location"] == {"line": 3, "column": 7}
 
 
 def test_diagnostics_flags():
@@ -202,6 +248,17 @@ def test_specialize_presentation_to_rationals():
     # q has root_order 2: the root is 3, so c_12 = q = 9
     assert spec.relation(0, 1).c == Fraction(9)
     assert spec.relation(0, 1).linear[2] == Fraction(-3)
+
+    with pytest.raises(SpecializationError, match="leading coefficient q vanishes"):
+        specialize_presentation(parse_presentation(
+            "algebra a { params: q; vars: x1, x2; rel: x2*x1 = q*x1*x2 + x1; }"
+        ), {"q": 0})
+    # a presentation without parameters refuses every name too
+    with pytest.raises(SpecializationError, match="unknown parameter 'q'"):
+        specialize_presentation(parse_presentation(DISPIN), {"q": 3})
+    assert specialize_presentation(parse_presentation(DISPIN), {}) == (
+        parse_presentation(DISPIN), {}
+    )
 
 
 def test_specialize_presentation_resolves_the_assignment_once(monkeypatch):
@@ -341,3 +398,70 @@ def test_records_compare_hash_and_print_by_their_fields():
     first, second = PbwReport(True, 1, 0, 3, 0), PbwReport(True, 1, 0, 3, 0)
     first.failures.append("x")
     assert second.failures == []
+
+
+def _record_classes(cls=_Record):
+    for sub in cls.__subclasses__():
+        if sub is not _FrozenRecord:
+            yield sub
+        yield from _record_classes(sub)
+
+
+_WINDOW = FiltrationWindow(("x1",), 1, ((1,), (0,)))
+
+# each record class: its required constructor arguments in order, and the
+# values of the fields it may omit
+RECORD_ARGUMENTS = {
+    ParamDecl: ({"name": "q"}, {"invertible": False, "root_order": 1}),
+    Relation: ({"i": 0, "j": 1, "c": Fraction(2), "linear": (0, 0), "constant": 1}, {}),
+    AlgebraPresentation: (
+        {"name": "a", "field": ScalarField(()), "gens": ("x1",), "relations": {}}, {}
+    ),
+    Finding: ({"severity": "error", "code": "c", "message": "m"}, {"line": 0, "col": 0}),
+    Diagnostics: ({"findings": [], "quasi_commutative": True, "bijective": False}, {}),
+    FiltrationWindow: ({"gens": ("x1",), "d": 1, "basis": ((1,), (0,))}, {}),
+    WindowSubspace: (
+        {"window": _WINDOW, "specialization": {}, "pivots": [0], "echelon": Echelon()}, {}
+    ),
+    SemigradedReport: ({"ok": True, "window_degree": 2}, {"witness": None}),
+    HilbertData: (
+        {"n": 1, "series_denominator_exponent": 1, "truncated_coefficients": (1, 1),
+         "polynomial_coefficients": (Fraction(1),)},
+        {},
+    ),
+    Frame: ({"basis": (NCPoly({(0,): Fraction(1)}),)}, {}),
+    GkEstimate: (
+        {"estimate": 1.0, "method": "closed_form", "k_max": 8, "sample_points": (8,),
+         "dims": (9,), "pointwise": (1.05,)},
+        {"specialization": None},
+    ),
+    CatalogEntry: (
+        {"key": "k", "name": "n", "table_id": 1, "table_n": "3",
+         "gh_string": "1/(1-t)^3", "gp_string": "(k^2+3k+2)/2"},
+        {"explicit_gp": None, "builders": (), "stated_q_matrix": None, "notes": ()},
+    ),
+    PbwReport: (
+        {"ok": True, "triples_checked": 1, "sample_triples_checked": 0,
+         "degree_bound": 3, "seed": 0},
+        {"failures": []},
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(_record_classes()), ids=lambda cls: cls.__name__)
+def test_every_record_binds_its_fields_positionally_and_by_keyword(cls):
+    required, omitted = RECORD_ARGUMENTS[cls]
+    names, values = list(required), list(required.values())
+    for record in (cls(*values), cls(**required)):
+        for name, value in {**required, **omitted}.items():
+            assert getattr(record, name) == value, name
+    assert cls(*values) == cls(**required)
+    assert cls(*values, *omitted.values()) == cls(**required, **omitted)
+    with pytest.raises(TypeError, match=names[-1]):
+        cls(*values[:-1])
+    with pytest.raises(TypeError, match="nonsense"):
+        cls(*values, nonsense=1)
+    with pytest.raises(TypeError, match=names[0]):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError):
+        cls(*values, *omitted.values(), None)

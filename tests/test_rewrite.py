@@ -517,6 +517,11 @@ def test_degree_past_the_packed_field_is_a_named_error():
     # the largest packable degree still multiplies into its own field
     top = nc_mul(p, x1, monomial(p, (2**31 - 1, 0, 0)))
     assert top == monomial(p, (2**31, 0, 0))
+    # a vector of the wrong length or with a negative entry would pack into
+    # another monomial's fields
+    for exponents in ((-1, 0, 0), (1,), (0, 0, 0, 1), (2, -1, 1)):
+        with pytest.raises(ValueError, match="one nonnegative entry per generator, 3 in all"):
+            nc_mul(p, x1, NCPoly({exponents: 1}))
 
 
 def test_packing_agrees_with_the_word_oracle_at_zero_and_six_variables():

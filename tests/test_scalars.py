@@ -97,6 +97,24 @@ def test_scalar_normalize_and_arith_dispatch():
     q = field.parameter("q")
     squared = q * q
     assert scalar_normalize(field, squared.num, q.num) == q
+    plain = ScalarField(())
+    assert scalar_normalize(plain, {(): 3}) == 3
+    assert scalar_normalize(plain, {(): 3}, {(): -6}) == Fraction(-1, 2)
+    assert scalar_normalize(plain, {}, 5) == 0
+    for f in (plain, field):
+        # refused, not truncated to an integer
+        for num, den in ((Fraction(1, 2), None), (1, Fraction(1, 2)), (1.0, None)):
+            with pytest.raises(TypeError):
+                scalar_normalize(f, num, den)
+            with pytest.raises(TypeError):
+                f.normalize(num, den)
+    with pytest.raises(TypeError):
+        scalar_normalize(plain, {(): Fraction(1, 2)})
+    with pytest.raises(TypeError):
+        scalar_normalize(field, {(1, 0): Fraction(1, 2)})
+    for f, exponents in ((plain, (1,)), (field, (1,)), (field, (1, 0, 0))):
+        with pytest.raises(ValueError, match="one entry per parameter"):
+            scalar_normalize(f, {exponents: 1})
     assert scalar_arith("add", q, field.one) == q + field.one
     assert scalar_arith("mul", q, q) == q**2
     assert scalar_arith("neg", q) == -q
@@ -173,6 +191,10 @@ def test_scalar_specialize_wrapper():
     q = field.parameter("q")
     value = scalar_specialize(field, q + field.one, {"q": 2, "nu": 1})
     assert value == Fraction(5)  # q = 2^2 under the root convention
+    plain = ScalarField(())
+    assert scalar_specialize(plain, Fraction(1, 2)) == Fraction(1, 2)
+    with pytest.raises(SpecializationError, match="unknown parameter 'q'"):
+        scalar_specialize(plain, Fraction(1, 2), {"q": 2})
 
 
 def test_format_round_trip_through_parser():
