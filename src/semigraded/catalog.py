@@ -28,7 +28,9 @@ from .presentation import (
     AlgebraPresentation,
     parse_presentation,
     parse_scalar,
+    print_presentation,
     q_matrix,
+    sgr_text,
     validate,
 )
 from .rewrite import check_pbw
@@ -128,17 +130,6 @@ def _vars(n: int, stem: str = "x") -> tuple:
     return tuple(f"{stem}{i + 1}" for i in range(n))
 
 
-def _algebra(name: str, gens: tuple, relations, params=()) -> str:
-    """The ``.sgr`` text of an algebra with the given relations."""
-    lines = [f"algebra {name} {{"]
-    if params:
-        lines.append(f"  params: {', '.join(params)};")
-    lines.append(f"  vars: {', '.join(gens)};")
-    lines.extend(f"  rel: {relation};" for relation in relations)
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def build_enveloping(n: int) -> AlgebraPresentation:
     """Enveloping-algebra model in n variables.
 
@@ -150,20 +141,20 @@ def build_enveloping(n: int) -> AlgebraPresentation:
         relations = ("x2*x1 = x1*x2 - x3", "x3*x1 = x1*x3 + 2*x1", "x3*x2 = x2*x3 - 2*x2")
     else:
         relations = ("x2*x1 = x1*x2 - x1",) if n == 2 else ()
-    return parse_presentation(_algebra(f"enveloping{n}", _vars(n), relations))
+    return parse_presentation(sgr_text(f"enveloping{n}", _vars(n), relations))
 
 
 def build_weyl(n: int) -> AlgebraPresentation:
     """Weyl-type model: 2n variables, y_i acting as d/dx_i."""
     gens = _vars(n) + _vars(n, "y")
     relations = [f"y{i}*x{i} = x{i}*y{i} + 1" for i in range(1, n + 1)]
-    return parse_presentation(_algebra(f"weyl{n}", gens, relations))
+    return parse_presentation(sgr_text(f"weyl{n}", gens, relations))
 
 
 def build_quantum_space(n: int) -> AlgebraPresentation:
     """Multiparametric quantum affine space: x_j x_i = q_ij x_i x_j."""
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    return parse_presentation(_algebra(
+    return parse_presentation(sgr_text(
         f"quantum_space{n}", _vars(n),
         [f"x{j}*x{i} = q{i}{j}*x{i}*x{j}" for i, j in pairs],
         [f"q{i}{j} inv" for i, j in pairs],
@@ -171,7 +162,7 @@ def build_quantum_space(n: int) -> AlgebraPresentation:
 
 
 def build_uso3(_: int = 3) -> AlgebraPresentation:
-    return parse_presentation(_algebra("uso3", _vars(3), (
+    return parse_presentation(sgr_text("uso3", _vars(3), (
         "x2*x1 = q*x1*x2 - q^(1/2)*x3",
         "x3*x1 = 1/q*x1*x3 + 1/q^(1/2)*x2",
         "x3*x2 = q*x2*x3 - q^(1/2)*x1",
@@ -179,7 +170,7 @@ def build_uso3(_: int = 3) -> AlgebraPresentation:
 
 
 def build_dispin(_: int = 3) -> AlgebraPresentation:
-    return parse_presentation(_algebra("dispin", _vars(3), (
+    return parse_presentation(sgr_text("dispin", _vars(3), (
         "x2*x1 = x1*x2 - x1",
         "x3*x1 = -x1*x3 + x2",
         "x3*x2 = x2*x3 - x3",
@@ -187,7 +178,7 @@ def build_dispin(_: int = 3) -> AlgebraPresentation:
 
 
 def build_woronowicz(_: int = 3) -> AlgebraPresentation:
-    return parse_presentation(_algebra("woronowicz", _vars(3), (
+    return parse_presentation(sgr_text("woronowicz", _vars(3), (
         "x2*x1 = 1/nu^2*x1*x2 - 1/nu*x3",
         "x3*x1 = 1/nu^4*x1*x3 - (1/nu^4 + 1/nu^2)*x1",
         "x3*x2 = nu^4*x2*x3 + (1 + nu^2)*x2",
@@ -220,7 +211,7 @@ def build_skew3d(type_number: int) -> AlgebraPresentation:
     t1, t2, t3 = _SKEW3D_TYPES[type_number]
     has_beta = type_number <= 4
     beta = "beta" if has_beta else "1"
-    return parse_presentation(_algebra(f"skew3d_type{type_number}", _vars(3), (
+    return parse_presentation(sgr_text(f"skew3d_type{type_number}", _vars(3), (
         f"x2*x3 - x3*x2 = {t1}",
         f"x3*x1 - {beta}*x1*x3 = {t2}",
         f"x1*x2 - x2*x1 = {t3}",
@@ -657,8 +648,6 @@ def export_presentations(
 ) -> list:
     """Write every executable variant to ``<out_dir>/<variant>.sgr``."""
     import os
-
-    from .presentation import print_presentation
 
     os.makedirs(out_dir, exist_ok=True)
     written = []

@@ -240,9 +240,6 @@ def _cmd_gkdim(p, args):
     specialization = None
     if args.specialize:
         specialization = _parse_assignments(args.specialize, "specialization")
-        # fail fast on unknown names or forbidden values even when the
-        # chosen frame ends up not needing the specialized field
-        p.field.resolve_assignment(specialization)
     frame = None
     if args.frame:
         frame = Frame(tuple(parse_element(p, expr) for expr in args.frame.split(",")))

@@ -397,13 +397,6 @@ class SemigradedReport(_Record):
     _fields = ("ok", "window_degree", "witness")
     _defaults = {"witness": None}
 
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "window_degree": self.window_degree,
-            "witness": self.witness,
-        }
-
 
 def is_semigraded_window(ws: WindowSubspace) -> SemigradedReport:
     """Test whether the subspace is closed under homogeneous components.

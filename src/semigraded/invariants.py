@@ -28,7 +28,10 @@ from .grading import Echelon, degree_count
 from .presentation import AlgebraPresentation, specialize_presentation
 from . import rewrite
 from .rewrite import NCPoly
-from .scalars import SpecializationError, _format_assignment, _FrozenRecord, _Record
+from .scalars import (
+    ParamDecl, ScalarField, SpecializationError, _format_assignment, _FrozenRecord,
+    _Record,
+)
 
 __all__ = [
     "HilbertData",
@@ -163,36 +166,21 @@ def gp_coefficients(n: int) -> tuple:
     return tuple(Fraction(c, denominator) for c in coeffs)
 
 
+# Q(t): a Hilbert polynomial prints as an element of it
+_POLYNOMIALS = ScalarField((ParamDecl("t"),))
+
+
 def format_polynomial(coefficients: Sequence[Fraction]) -> str:
     """Render exact rational polynomial coefficients (constant first).
 
-    Clears denominators, prints highest degree first, and wraps multi-term
-    numerators as "(...)/(common denominator)" — e.g. "(t^2 + 3*t + 2)/2".
+    The polynomial is printed as an element of Q(t): numerators over the
+    least common denominator, highest degree first, a multi-term numerator
+    in parentheses — e.g. "(t^2 + 3*t + 2)/2".  The numerators share no
+    factor with that denominator, so the field cancels nothing.
     """
-    denominator = 1
-    for c in coefficients:
-        denominator = denominator * c.denominator // math.gcd(denominator, c.denominator)
-    numerators = [int(c * denominator) for c in coefficients]
-    parts: list[str] = []
-    for power in range(len(numerators) - 1, -1, -1):
-        value = numerators[power]
-        if not value:
-            continue
-        if power == 0:
-            body = str(abs(value))
-        else:
-            t = "t" if power == 1 else f"t^{power}"
-            body = t if abs(value) == 1 else f"{abs(value)}*{t}"
-        if not parts:
-            parts.append(body if value > 0 else f"-{body}")
-        else:
-            parts.append(f"{' + ' if value > 0 else ' - '}{body}")
-    rendered = "".join(parts) or "0"
-    if denominator == 1:
-        return rendered
-    if len([v for v in numerators if v]) > 1:
-        return f"({rendered})/{denominator}"
-    return f"{rendered}/{denominator}"
+    denominator = math.lcm(*(c.denominator for c in coefficients))
+    numerators = {power: int(c * denominator) for power, c in enumerate(coefficients)}
+    return _POLYNOMIALS.format(_POLYNOMIALS.normalize(numerators, denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +290,10 @@ def ggk_estimate(
     """Empirical growth exponent from the dimensions of frame powers.
 
     With the default frame (span of 1 and the generators) the k-th power is
-    the full degree-k window, so f(k) = C(n+k, k) in closed form.  A custom
-    frame whose span is a full window F_D likewise gives f(k) = C(n+kD, kD):
+    the full degree-k window, so f(k) = C(n+k, k) in closed form.  That
+    form uses no specialization and the estimate records none, but a bad
+    one is refused there as on every path.  A custom frame whose span is a
+    full window F_D likewise gives f(k) = C(n+kD, kD):
     products of k window-D monomials reach every monomial of degree kD, one
     commutation at a time, because leading coefficients stay invertible.
     Any other frame is grown literally — S_{k+1} = span of (frame element) *
@@ -327,6 +317,7 @@ def ggk_estimate(
     points = sample_points(k_max)
 
     if frame is None:
+        presentation.field.resolve_assignment(specialization)
         dims = tuple(comb(n + k, k) for k in points)
         return GkEstimate(
             _fit_slope(points, dims), "closed_form", k_max, points, dims,

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from typing import Mapping, Optional, Union
 
 from .scalars import (
@@ -40,6 +41,7 @@ from .scalars import (
     ScalarField,
     SpecializationError,
     _Record,
+    signed_sum,
 )
 
 __all__ = [
@@ -501,6 +503,8 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         cur.expect(":")
         while True:
             ptok = cur.expect("name", "expected a parameter name")
+            if any(d.name == ptok.text for d in params):
+                cur.fail(f"duplicate parameter {ptok.text!r}", ptok)
             invertible = False
             root = 1
             while cur.at_keyword("inv") or cur.at_keyword("root"):
@@ -520,11 +524,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
             cur.take()
         cur.expect(";")
 
-    try:
-        field = ScalarField(tuple(params))
-    except ValueError as exc:
-        cur.fail(str(exc), name_tok)
-
+    field = ScalarField(tuple(params))
     cur.expect_keyword("vars")
     cur.expect(":")
     gens: list = []
@@ -658,24 +658,26 @@ def format_monomial(exponents, gens) -> str:
 
 def format_element(terms: Mapping, gens, field: ScalarField) -> str:
     """Canonical text of an element: graded-lex descending, leading term first."""
-    items = [(exp, c) for exp, c in terms.items() if c]
-    if not items:
-        return "0"
-    items.sort(key=lambda item: (sum(item[0]), item[0]), reverse=True)
-    chunks = []
-    for exp, coeff in items:
-        negated, body = field.format_coefficient(coeff)
-        if not any(exp):
-            piece = body
-        elif body == "1":
-            piece = format_monomial(exp, gens)
-        else:
-            piece = f"{body}*{format_monomial(exp, gens)}"
-        if not chunks:
-            chunks.append(f"-{piece}" if negated else piece)
-        else:
-            chunks.append(f" - {piece}" if negated else f" + {piece}")
-    return "".join(chunks)
+    items = sorted(
+        ((exp, c) for exp, c in terms.items() if c),
+        key=lambda item: (sum(item[0]), item[0]), reverse=True,
+    )
+    return signed_sum(
+        (*field.format_coefficient(c), format_monomial(exp, gens) if any(exp) else "")
+        for exp, c in items
+    )
+
+
+def sgr_text(name: str, gens, relations, params=()) -> str:
+    """The ``.sgr`` text of an algebra: ``params`` and ``relations`` are the
+    text of each parameter declaration and each ``rel:`` line's equation."""
+    lines = [f"algebra {name} {{"]
+    if params:
+        lines.append(f"  params: {', '.join(params)};")
+    lines.append(f"  vars: {', '.join(gens)};")
+    lines.extend(f"  rel: {relation};" for relation in relations)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def print_presentation(presentation: AlgebraPresentation) -> str:
@@ -684,40 +686,23 @@ def print_presentation(presentation: AlgebraPresentation) -> str:
     Purely commuting default pairs are omitted.
     """
     p = presentation
-    out = [f"algebra {p.name} {{"]
-    if p.field.params:
-        decls = []
-        for d in p.field.params:
-            s = d.name
-            if d.invertible:
-                s += " inv"
-            if d.root_order > 1:
-                s += f" root {d.root_order}"
-            decls.append(s)
-        out.append(f"  params: {', '.join(decls)};")
-    out.append(f"  vars: {', '.join(p.gens)};")
     n = p.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel = p.relations[(i, j)]
-            if rel.is_default(p.field):
-                continue
-            terms: dict = {}
-            exp = [0] * n
-            exp[i] += 1
-            exp[j] += 1
-            terms[tuple(exp)] = rel.c
-            for k in range(n):
-                if rel.linear[k]:
-                    unit = [0] * n
-                    unit[k] = 1
-                    terms[tuple(unit)] = rel.linear[k]
-            if rel.constant:
-                terms[(0,) * n] = rel.constant
-            rhs = format_element(terms, p.gens, p.field)
-            out.append(f"  rel: {p.gens[j]}*{p.gens[i]} = {rhs};")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    relations = []
+    for i, j in combinations(range(n), 2):
+        rel = p.relations[(i, j)]
+        if rel.is_default(p.field):
+            continue
+        pair = tuple(int(k in (i, j)) for k in range(n))
+        terms = {pair: rel.c, **dict(zip(units, rel.linear)), (0,) * n: rel.constant}
+        rhs = format_element(terms, p.gens, p.field)
+        relations.append(f"{p.gens[j]}*{p.gens[i]} = {rhs}")
+    params = [
+        d.name + (" inv" if d.invertible else "")
+        + (f" root {d.root_order}" if d.root_order > 1 else "")
+        for d in p.field.params
+    ]
+    return sgr_text(p.name, p.gens, relations, params)
 
 
 # ---------------------------------------------------------------------------

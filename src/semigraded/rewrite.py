@@ -77,18 +77,12 @@ __all__ = [
     "constant",
     "monomial",
     "free_to_normal_form",
-    "deglex_key",
     "PbwReport",
     "check_pbw",
     "random_element",
 ]
 
 NEG_INF = float("-inf")
-
-
-def deglex_key(exponents) -> tuple:
-    """Sort key realizing graded lexicographic order with x1 > x2 > ... > xn."""
-    return (sum(exponents), exponents)
 
 
 class NCPoly:
@@ -137,17 +131,6 @@ class NCPoly:
         if not self.terms:
             return NEG_INF
         return max(sum(exp) for exp in self.terms)
-
-    def leading_term(self):
-        """(exponents, coefficient) of the graded-lex leading monomial."""
-        if not self.terms:
-            raise ValueError("zero element has no leading term")
-        exp = max(self.terms, key=deglex_key)
-        return exp, self.terms[exp]
-
-    def sorted_terms(self) -> list:
-        """Terms in printing order: graded-lex descending."""
-        return sorted(self.terms.items(), key=lambda t: deglex_key(t[0]), reverse=True)
 
     def scale(self, c) -> "NCPoly":
         if not c:
@@ -595,16 +578,6 @@ class PbwReport(_Record):
         super().__init__(*args, **kwargs)
         if self.failures is None:
             self.failures = []  # a fresh list for each report
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "triples_checked": self.triples_checked,
-            "sample_triples_checked": self.sample_triples_checked,
-            "degree_bound": self.degree_bound,
-            "seed": self.seed,
-            "failures": list(self.failures),
-        }
 
 
 def random_element(

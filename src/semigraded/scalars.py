@@ -34,6 +34,10 @@ refused with a ``ValueError`` wherever a scalar is made, so that every
 intermediate key of an operation still fits its fields.  Exponent tuples
 appear only at the public boundary: ``num``, ``den``, ``scalar_normalize``,
 ``evaluate`` and the sympy cancellation.
+
+Printed sums are built in one place: :func:`signed_sum` joins the terms of
+a scalar polynomial, of an element (``presentation.format_element``) and of
+a Hilbert polynomial, which is printed as an element of Q(t).
 """
 
 from __future__ import annotations
@@ -73,6 +77,11 @@ class _Record:
     which every instance shares, so it must be immutable.  Records compare
     equal only to records of the same class and are unhashable; frozen ones
     derive from :class:`_FrozenRecord`.
+
+    ``to_dict`` reports the fields by name, in ``_fields`` order, which the
+    text format prints as is.  A record overrides it when its report keys
+    differ from its fields: renamed, derived or nested values, or fields
+    left out.
     """
 
     __slots__ = ()
@@ -114,6 +123,9 @@ class _Record:
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({inner})"
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self._fields}
 
 
 class _FrozenRecord(_Record):
@@ -524,10 +536,8 @@ class ScalarField:
         return False, s
 
     def _format_poly(self, p: dict) -> str:
-        if not p:
-            return "0"
         texts = self._texts
-        chunks: list[str] = []
+        terms = []
         for key in sorted(p, reverse=True):
             text = texts.get(key)
             if text is None:
@@ -535,18 +545,8 @@ class ScalarField:
                     self._power_str(i, e) for i, e in enumerate(self._exponents(key)) if e
                 )
             c = p[key]
-            mag = abs(c)
-            if not text:
-                body = str(mag)
-            elif mag == 1:
-                body = text
-            else:
-                body = f"{mag}*{text}"
-            if not chunks:
-                chunks.append(f"-{body}" if c < 0 else body)
-            else:
-                chunks.append(f" - {body}" if c < 0 else f" + {body}")
-        return "".join(chunks)
+            terms.append((c < 0, str(abs(c)), text))
+        return signed_sum(terms)
 
     def _power_str(self, index: int, exponent: int) -> str:
         decl = self.params[index]
@@ -834,6 +834,28 @@ def _primes(count: int) -> list[int]:
 
 def _format_assignment(assignment: Mapping[str, Fraction]) -> str:
     return "{" + ", ".join(f"{k}={assignment[k]}" for k in sorted(assignment)) + "}"
+
+
+def signed_sum(terms) -> str:
+    """The text of a sum of ``(negative, coefficient text, monomial text)``
+    terms, in the given order.
+
+    A coefficient of ``"1"`` before a monomial is left out, and so is an
+    empty monomial (a constant term); no terms print as ``"0"``.
+    """
+    chunks = []
+    for negative, coefficient, monomial in terms:
+        if chunks:
+            chunks.append(" - " if negative else " + ")
+        elif negative:
+            chunks.append("-")
+        if not monomial:
+            chunks.append(coefficient)
+        elif coefficient == "1":
+            chunks.append(monomial)
+        else:
+            chunks.append(f"{coefficient}*{monomial}")
+    return "".join(chunks) or "0"
 
 
 def _top_level(s: str, operators: str) -> bool:

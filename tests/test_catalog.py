@@ -282,7 +282,7 @@ def test_export_round_trip(tmp_path):
     paths = export_presentations(str(tmp_path), {"n": 2})
     assert len(paths) == 14
     for path in paths:
-        text = open(path).read()
+        text = Path(path).read_text()
         p = parse_presentation(text)
         assert print_presentation(p) == text
 

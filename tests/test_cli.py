@@ -393,6 +393,82 @@ def test_text_format_shows_real_timing(files, capsys):
     assert "normal_form: x1" in out
 
 
+def text_report(capsys, *argv):
+    """The lines of a text report between its fingerprint and its timing."""
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == f"command: {argv[0]}"
+    assert lines[1].startswith("fingerprint: ") and lines[-1].startswith("timing_ms: ")
+    return lines[2:-1]
+
+
+def test_text_reports_print_every_kind_of_value(files, capsys):
+    # booleans, an empty list and a record's fields in order
+    assert text_report(capsys, "validate", files["dispin"]) == [
+        "results:",
+        "  name: dispin",
+        "  n: 3",
+        "  diagnostics:",
+        "    valid: true",
+        "    quasi_commutative: false",
+        "    bijective: true",
+        "    findings: []",
+        "  pbw:",
+        "    ok: true",
+        "    triples_checked: 1",
+        "    sample_triples_checked: 20",
+        "    degree_bound: 3",
+        "    seed: 0",
+        "    failures: []",
+        "warnings: []",
+    ]
+    # a list of records; the floats are the JSON report's
+    argv = ("gkdim", files["dispin"], "--frame", "1,x1,x2", "--kmax", "12")
+    estimate = run_json(capsys, *argv)[1]["results"]["estimate"]
+    samples = []
+    for sample, k, dim in zip(
+        estimate["samples"], (3, 5, 6, 7, 9, 11, 12), (10, 21, 28, 36, 55, 78, 91)
+    ):
+        samples += ["      -", f"        k: {k}", f"        dim: {dim}",
+                    f"        log_k_dim: {sample['log_k_dim']}"]
+    assert text_report(capsys, *argv) == [
+        "results:",
+        "  exact: 3",
+        "  estimate:",
+        f"    estimate: {estimate['estimate']}",
+        "    method: span_growth",
+        "    k_max: 12",
+        "    samples:",
+        *samples,
+        "    specialization: {}",
+        "warnings:",
+        "  -",
+        "    code: finite-window-estimate",
+        "    message: the estimate is fitted from window dimensions sampled up to "
+        "k_max=12; the exact dimension is the 'exact' field",
+        "    k_max: 12",
+    ]
+    # null, and lists of strings
+    argv = ("ideal-window", files["kx"], "--gens", "x1", "--degree", "2")
+    assert text_report(capsys, *argv) == [
+        "results:",
+        "  window:",
+        "    window_degree: 2",
+        "    specialization: {}",
+        "    rank: 2",
+        "    pivot_monomials:",
+        "      - x1^2",
+        "      - x1",
+        "  semigraded:",
+        "    ok: true",
+        "    window_degree: 2",
+        "    witness: null",
+        "  generators:",
+        "    - x1",
+        "warnings: []",
+    ]
+
+
 def test_module_entry_point(files, package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "semigraded", "validate", files["dispin"],
@@ -476,13 +552,15 @@ from semigraded.cli import main
 for argv in ARGVS:
     assert main(argv + ["--format", "json"]) == 0, argv
 assert "dataclasses" not in sys.modules, "an sgr call imported dataclasses"
+assert "sympy" not in sys.modules, "an sgr call imported sympy"
 '''
 
 
 def test_sgr_calls_never_import_dataclasses(files, package_env):
     # importing dataclasses (and with it inspect, dis and tokenize) is a
-    # start-up cost every call would pay; a fresh interpreter, since this
-    # one may have imported it already
+    # start-up cost every call would pay, and so is sympy, which only a
+    # multi-term gcd needs, never a printed Hilbert polynomial; a fresh
+    # interpreter, since this one may have imported them already
     dispin = files["dispin"]
     argvs = [
         ["nf", dispin, "(x1+x2+x3)^3"],

@@ -141,6 +141,17 @@ def test_estimator_rejects_bad_inputs():
         ggk_estimate(p, k_max=7)
     with pytest.raises(ValueError):
         ggk_estimate(free_algebra(0))
+    # the default frame's closed form uses no specialization, but refuses a
+    # bad one as every other path does
+    uso3 = parse_presentation(USO3)
+    for presentation, assignment, message in (
+        (parse_presentation(DISPIN), {"zz": 3}, "unknown parameter 'zz'"),
+        (uso3, {"zz": 3}, "unknown parameter 'zz'"),
+        (uso3, {"q": 0}, "invertible parameter 'q' assigned zero"),
+    ):
+        with pytest.raises(SpecializationError, match=message):
+            ggk_estimate(presentation, k_max=8, specialization=assignment)
+    assert ggk_estimate(uso3, k_max=8, specialization={"q": 5}).specialization is None
 
 
 def test_default_estimate_converges_from_below():

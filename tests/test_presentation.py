@@ -312,6 +312,8 @@ EXPRESSION_ERRORS = [
     ("x1/0", "division by zero", 3),
     ("x1^(1/2)", "fractional exponent on a non-parameter", 3),
     ("x1^10001", "exponent 10001 exceeds _EXPONENT_CAP = 10000", 3),
+    ("x1^x2", "malformed exponent", 4),
+    ("x1^(1/0)", "zero exponent denominator", 5),
     ("(" * 101 + "x1" + ")" * 101, "parentheses nested deeper than _NESTING_CAP = 100", 101),
     # numbers are ASCII digits: a superscript two is no exponent, and an
     # Arabic-Indic three is no 3
@@ -342,10 +344,25 @@ def test_expression_errors_point_at_the_operator():
 
 
 def test_duplicate_and_bad_generators_rejected():
-    with pytest.raises(PresentationError):
-        parse_presentation("algebra a { vars: x1, x1; }")
-    with pytest.raises(PresentationError):
-        parse_presentation("algebra a { vars: x1; rel: x1*x1 = x1; }")
+    for text, message, col in [
+        ("algebra a { vars: x1, x1; }", "duplicate generator 'x1'", 23),
+        ("algebra a { vars: x1; rel: x1*x1 = x1; }",
+         "square word x1*x1 not allowed in a relation", 23),
+        # the caret is at the second declaration, not at the algebra name
+        ("algebra a { params: q, q; vars: x1; }", "duplicate parameter 'q'", 24),
+        ("algebra a { params: q; vars: q; }",
+         "generator 'q' clashes with a parameter", 30),
+        ("algebra a { params: q root 0; vars: x1; }", "root order must be >= 1", 23),
+        ("algebra a { params: q root 2; vars: x1, x2; rel: x2*x1 = q^(1/3)*x1*x2; }",
+         "power 1/3 of q needs a declared root of order divisible by 3 (have 2)", 59),
+        ("algebra a { vars: x1, x2; rel: x2*x1 = x1*x2; rel: x2*x1 = x1*x2 + x1; }",
+         "pair (x1, x2) already constrained", 47),
+        ("algebra a { vars: x1; } x1", "unexpected 'x1' after closing brace", 25),
+    ]:
+        with pytest.raises(PresentationError) as excinfo:
+            parse_presentation(text)
+        err = excinfo.value
+        assert (err.message, err.line, err.col) == (message, 1, col), text
 
 
 def test_unknown_name_in_relation_rejected():
