@@ -153,88 +153,105 @@ def _window(presentation: AlgebraPresentation, d: int) -> tuple[FiltrationWindow
 class Echelon:
     """A row space as sparse primitive integer rows ``{key: int}``.
 
-    Keys are any ints, and ``pivots`` maps each row's lowest key to the row.
-    A window keys its rows by column, so in its descending-deglex order the
-    pivot is the leading monomial; frame growth in ``invariants`` keys them
-    by negated packed monomial, so the pivot is the lex-largest monomial,
-    since the rewrite engine packs x1 highest.  A stored row has entries with
-    gcd 1 and a positive lead; rational input is cleared by the lcm of its
-    denominators on the way in.  Elimination is fraction-free,
-    ``h * row - a * pivot``, and every division (by a row's content, by its
-    lead at the output) is exact, as in E. Bareiss, Math. Comp. 22, 1968.
-    Rows are only lead-reduced until :meth:`back_substitute`; :meth:`rref`
+    Keys are any ints, and ``pivots`` maps each row's ``lead`` key to the
+    row: its lowest by default, so a window, whose columns run in
+    descending-deglex order, pivots on the leading monomial.  Frame growth
+    in ``invariants`` inserts the rewrite engine's packed monomials as they
+    are, with ``lead=max``, so it pivots on the lex-largest monomial.  A
+    stored row has entries with gcd 1 and a positive lead; rational input
+    is cleared by the lcm of its denominators on the way in.  Elimination is
+    fraction-free, ``h * row - a * pivot``, and every division (by a row's
+    content, by its lead at the output) is exact, as in E. Bareiss, Math.
+    Comp. 22, 1968; a one-term pivot row ``{key: 1}`` only deletes ``key``.
+    :meth:`adopt` keeps a fresh all-``int`` row, such as the engine's
+    output, as the echelon's own, with no scan and no copy.  Rows are only
+    lead-reduced until :meth:`back_substitute`; :meth:`rref`
     back-substitutes and divides by the leads once, at the output.
     """
 
-    def __init__(self, rows: Iterable[Mapping[int, Fraction]] = ()) -> None:
+    def __init__(self, rows: Iterable[Mapping[int, Fraction]] = (), lead=min) -> None:
         self.pivots: dict[int, dict] = {}
+        self.lead = lead
         for row in rows:
             self.insert(row)
 
-    def reduce(self, row: Mapping[int, Fraction]) -> dict:
-        """Eliminate the lead of ``row`` until it is not a pivot; returns the
-        rest as integers, a multiple of the exact remainder.
+    def reduce(self, row: dict) -> dict:
+        """Eliminate the lead of an all-``int`` ``row``, in place, until it
+        is not a pivot; returns the rest, a multiple of the exact remainder.
 
         The lead is looked up afresh after every subtraction, because a
-        pivot row can bring in columns the input did not have.  An all-``int``
-        row has no denominators to clear and is only copied.
+        pivot row can bring in columns the input did not have.
         """
-        if all(type(x) is int for x in row.values()):
-            row = dict(row)
-        else:
-            den = lcm(*(x.denominator for x in row.values()))
-            row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        pivots, first = self.pivots, self.lead
         while row:
-            lead = min(row)
-            hit = self.pivots.get(lead)
+            lead = first(row)
+            hit = pivots.get(lead)
             if hit is None:
                 break
-            _eliminate(row, row[lead], hit, hit[lead])
+            _eliminate(row, lead, hit)
         return row
 
     def insert(self, row: Mapping[int, Fraction]) -> Optional[dict]:
         """Add ``row``; returns its new pivot row, or None if already spanned."""
+        return self.adopt(_integral(row))
+
+    def adopt(self, row: dict) -> Optional[dict]:
+        """:meth:`insert` of a fresh all-``int`` row, which the echelon
+        reduces in place and may keep: the caller does not use it again."""
         row = self.reduce(row)
         if not row:
             return None
-        lead = min(row)
+        lead = self.lead(row)
         row = _primitive(row, row[lead])
         self.pivots[lead] = row
         return row
 
     def contains(self, row: Mapping[int, Fraction]) -> bool:
-        return not self.reduce(row)
+        return not self.reduce(_integral(row))
 
     def back_substitute(self) -> None:
         """Clear every pivot column from the other rows, in integers.
 
-        Rows are reduced from the highest pivot down, so every row
-        subtracted is already free of the other pivots; each stays
+        Rows are reduced from the last pivot to the leading one, so every
+        row subtracted is already free of the other pivots; each stays
         primitive, and afterwards is a multiple of its reduced row.
         """
         pivots = self.pivots
-        for lead in sorted(pivots, reverse=True):
+        for lead in sorted(pivots, reverse=self.lead is min):
             row = pivots[lead]
             cols = [c for c in row if c != lead and c in pivots]
             for col in cols:
-                other = pivots[col]
-                _eliminate(row, row[col], other, other[col])
+                _eliminate(row, col, pivots[col])
             if cols:
                 pivots[lead] = _primitive(row, row[lead])
 
     def rref(self) -> list[dict]:
-        """The reduced rows in increasing pivot order, pivots normalized to 1."""
+        """The reduced rows, the leading pivot first, pivots normalized to 1."""
         self.back_substitute()
         pivots = self.pivots
         return [
             {c: Fraction(x, row[lead]) for c, x in row.items()}
-            for lead, row in sorted(pivots.items())
+            for lead, row in sorted(pivots.items(), reverse=self.lead is max)
         ]
 
 
-def _eliminate(row: dict, a: int, other: Mapping[int, int], h: int) -> None:
-    """``row = h * row - a * other`` in place, with ``a / h`` in lowest terms
-    (``h > 0``), dropping entries that cancel."""
+def _integral(row: Mapping[int, Fraction]) -> dict:
+    """A new dict of integers: ``row`` times the lcm of its denominators."""
+    if all(type(x) is int for x in row.values()):
+        return dict(row)
+    den = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+
+
+def _eliminate(row: dict, col: int, other: Mapping[int, int]) -> None:
+    """Clear ``col`` from ``row`` in place with the pivot row ``other``:
+    ``row = h * row - a * other`` for ``a / h = row[col] / other[col]`` in
+    lowest terms (``h > 0``), dropping entries that cancel.  A one-term
+    pivot row is ``{col: 1}``, and only deletes the entry."""
+    if len(other) == 1:
+        del row[col]
+        return
+    a, h = row[col], other[col]
     g = gcd(a, h)
     if g != 1:
         a //= g
@@ -343,10 +360,11 @@ def left_ideal_window(
     degree fits in the window, with parameters specialized to exact
     rationals first.  This is a lower approximation of the true ideal
     intersected with F_d, and its rank is monotone nondecreasing in ``d``.
-    Each product is taken on the rewrite engine's packed monomials and
-    enters one echelon as an integer row keyed by column; a row's scale
-    does not change its span, so the product's denominator is dropped.
-    A window of dimension above ``_WINDOW_DIMENSION_CAP`` raises
+    On the rewrite engine's packed monomials, x^mu * g is one engine step,
+    x_j * (x^(mu - e_j) * g) for the first letter x_j of mu, which drops
+    the product's denominator, since a row's scale does not change its
+    span.  The rows enter one echelon in window order, keyed by column.  A
+    window of dimension above ``_WINDOW_DIMENSION_CAP`` raises
     ``ValueError``.
     """
     dimension = comb(presentation.n + d, presentation.n) if d >= 0 else 0
@@ -370,11 +388,14 @@ def left_ideal_window(
         budget = d - spec_gen.degree()
         if budget < 0:
             continue
-        g_terms = eng.pack(spec_gen.terms)[0]
-        # the monomials of degree <= budget end the window
-        for mu in packed[-comb(presentation.n + budget, budget):]:
-            terms = eng.product({mu: 1}, g_terms)[0]
-            echelon.insert({column[m]: x for m, x in terms.items()})
+        # the monomials of degree <= budget end the window, lowest last
+        monomials = packed[-comb(presentation.n + budget, budget):]
+        products = {0: eng.pack(spec_gen.terms)[0]}
+        for mu in reversed(monomials[:-1]):
+            j = eng.first_letter(mu)
+            products[mu] = eng.var_times_multiple(j, products[mu - eng.unit[j]])
+        for mu in monomials:
+            echelon.adopt({column[m]: x for m, x in products[mu].items()})
     echelon.back_substitute()
     return WindowSubspace(window, dict(full), sorted(echelon.pivots), echelon)
 

@@ -303,11 +303,12 @@ def ggk_estimate(
     explains the options.  A round that adds no row ends the growth, since
     every later power spans the same space, so k_max itself costs nothing.
 
-    One echelon serves the frame checks and the growth, its rows keyed by
-    the rewrite engine's packed monomials, negated so that a row's pivot is
-    its lex-largest monomial.  Each round multiplies the frame into the rows
-    added last round (earlier rows were already absorbed); a product's
-    denominator is dropped, since a row's scale does not change its span.
+    One echelon serves the frame checks and the growth, its rows the
+    rewrite engine's output as it is, pivoting on their lex-largest
+    monomials.  Each round multiplies the frame into the rows added last
+    round (earlier rows were already absorbed).  A product's scale does not
+    change its span, so its denominator is dropped, and a one-letter factor
+    c*x_i multiplies a row in one engine step.
     """
     if k_max < 8:
         raise ValueError(f"k_max must be >= 8, got {k_max}")
@@ -336,13 +337,13 @@ def ggk_estimate(
 
     eng = rewrite._engine(spec_pres)
     packed = [eng.pack(b.terms)[0] for b in basis]
-    echelon = Echelon()
+    echelon = Echelon((), max)
     frontier = []
     for b in packed:
-        row = echelon.insert({-m: c for m, c in b.items()})
+        row = echelon.insert(b)
         if row is None:
             raise _frame_error("is linearly dependent", full)
-        frontier.append({-key: x for key, x in row.items()})
+        frontier.append(row)
     if not echelon.contains({0: 1}):
         raise ValueError("the frame span must contain 1")
 
@@ -353,14 +354,21 @@ def ggk_estimate(
             _pointwise(points, dims), dict(full),
         )
 
-    factors = [b for b in packed if set(b) != {0}]
+    letters = {u: i for i, u in enumerate(eng.unit)}
+    factors = [
+        (letters.get(next(iter(b))) if len(b) == 1 else None, b)
+        for b in packed if set(b) != {0}
+    ]
     support = set().union(*packed)  # every monomial a row can hold
     ranks = [0, len(echelon.pivots)]  # ranks[k] = f(k)
     while frontier and len(ranks) <= k_max:
         fresh: list[dict] = []
-        for b in factors:
+        for i, b in factors:
             for row in frontier:
-                terms = eng.product(b, row)[0]
+                if i is None:
+                    terms = eng.product(b, row)[0]
+                else:
+                    terms = eng.var_times_multiple(i, row)
                 support.update(terms)
                 if len(support) > _GROWTH_DIMENSION_CAP:
                     raise ValueError(
@@ -369,9 +377,9 @@ def ggk_estimate(
                         f"{_GROWTH_DIMENSION_CAP}; lower k_max or use a frame that "
                         "spans a full filtration window, which has a closed form"
                     )
-                added = echelon.insert({-m: x for m, x in terms.items()})
+                added = echelon.adopt(terms)
                 if added is not None:
-                    fresh.append({-key: x for key, x in added.items()})
+                    fresh.append(added)
         frontier = fresh
         ranks.append(len(echelon.pivots))
     # a round that adds no row ends the growth: every later power of the

@@ -186,6 +186,9 @@ class Diagnostics(_Record):
 _PUNCT = set("{}(),;:=+-*/^")
 # ASCII only: str.isdigit also accepts superscripts and other scripts' digits
 _DIGITS = set("0123456789")
+# Python converts at most 4300 digits from text to an int by default, so a
+# longer literal is refused at its caret, naming this cap instead
+_DIGIT_CAP = 4_300
 
 
 class _Token:
@@ -214,6 +217,11 @@ def _tokenize(text: str) -> list:
                 start = i
                 while i < len(raw) and raw[i] in _DIGITS:
                     i += 1
+                if i - start > _DIGIT_CAP:
+                    raise PresentationError(
+                        f"integer of {i - start} digits exceeds _DIGIT_CAP = {_DIGIT_CAP}",
+                        lineno, start + 1, raw,
+                    )
                 tokens.append(_Token("int", raw[start:i], lineno, start + 1))
                 continue
             if ch.isalpha() or ch == "_":
@@ -658,13 +666,13 @@ def format_monomial(exponents, gens) -> str:
 
 def format_element(terms: Mapping, gens, field: ScalarField) -> str:
     """Canonical text of an element: graded-lex descending, leading term first."""
+    # exponent vectors differ, so the coefficients are never compared
     items = sorted(
-        ((exp, c) for exp, c in terms.items() if c),
-        key=lambda item: (sum(item[0]), item[0]), reverse=True,
+        ((sum(exp), exp, c) for exp, c in terms.items() if c), reverse=True
     )
     return signed_sum(
-        (*field.format_coefficient(c), format_monomial(exp, gens) if any(exp) else "")
-        for exp, c in items
+        (*field.format_coefficient(c), format_monomial(exp, gens) if degree else "")
+        for degree, exp, c in items
     )
 
 

@@ -188,9 +188,12 @@ def _degree_overflow(degree) -> ValueError:
 
 def _cleared(terms: Mapping) -> tuple[dict, int]:
     """Rational coefficients as integer numerators over their least common
-    denominator: ``(numerators, denominator)``."""
+    denominator: ``(numerators, denominator)``.  All-``int`` terms are
+    returned as they are."""
     den = lcm(*(c.denominator for c in terms.values()))
     if den == 1:
+        if all(type(c) is int for c in terms.values()):
+            return terms, 1
         return {exp: c.numerator for exp, c in terms.items()}, 1
     return {exp: c.numerator * (den // c.denominator) for exp, c in terms.items()}, den
 
@@ -303,6 +306,10 @@ class _Engine:
             levels.append(sorted({m + u for m in levels[-1] for u in self.unit}, reverse=True))
         return [m for level in reversed(levels) for m in level]
 
+    def first_letter(self, m: int) -> int:
+        """The index of the first letter of a nonconstant packed monomial."""
+        return self.n - 1 - (m.bit_length() - 1) // _FIELD_BITS
+
     def unpack(self, terms: Mapping) -> dict:
         """Packed keys back to exponent tuples."""
         mask, shifts = self.mask, self.shifts
@@ -390,7 +397,7 @@ class _Engine:
         # m = x_j^e * rest, x_j its first letter (j < i).  Walk down the
         # levels x_j^t * rest to the nearest one memoized (or t = 0), then
         # back up, one memo entry per level: no recursion per degree.
-        j = self.n - 1 - (m.bit_length() - 1) // _FIELD_BITS
+        j = self.first_letter(m)
         step = self.unit[j]
         rest = m & (step - 1)
         level = m - step
@@ -439,6 +446,13 @@ class _Engine:
         out: dict = {}
         den = self._add(out, 1, self.one, i, value)
         return out if den == 1 else _value(*_reduced(out, den))
+
+    def var_times_multiple(self, i: int, value: dict) -> dict:
+        """A nonzero multiple of ``x_i * value``: its numerators, for
+        callers that need only the span of their rows."""
+        out: dict = {}
+        self._add(out, 1, self.one, i, value)
+        return out
 
     def product(self, p_terms: Mapping, q_terms: Mapping) -> tuple[dict, int]:
         """Normal form of ``p * q`` on packed keys as ``(numerators, den)``,
@@ -609,9 +623,11 @@ def check_pbw(
     """Confluence check for the rewrite rules.
 
     Re-associates every generator triple x_k, x_j, x_i (k > j > i) — the
-    critical overlaps, whose agreement proves confluence — and, as a
-    cross-check of the engine, ``samples`` random element triples of degree
-    <= degree_bound.  Any mismatch is reported with the two normal
+    critical overlaps, whose agreement proves confluence — in which some
+    pair's relation has a linear or constant part, and counts the others as
+    proved (both sides are c_ij*c_ik*c_jk*xi*xj*xk); as a cross-check of
+    the engine it also re-associates ``samples`` random element triples of
+    degree <= degree_bound.  Any mismatch is reported with the two normal
     forms; a presentation whose relations are not mutually consistent fails
     here with a concrete witness.
     """
@@ -619,10 +635,13 @@ def check_pbw(
     gens = p.gens
     failures: list = []
     triples = 0
+    tailed = {pair for pair, r in p.relations.items() if r.constant or any(r.linear)}
     for i in range(p.n):
         for j in range(i + 1, p.n):
             for k in range(j + 1, p.n):
                 triples += 1
+                if tailed.isdisjoint(((i, j), (i, k), (j, k))):
+                    continue
                 xi, xj, xk = (variable(p, t) for t in (i, j, k))
                 left = nc_mul(p, nc_mul(p, xk, xj), xi)
                 right = nc_mul(p, xk, nc_mul(p, xj, xi))

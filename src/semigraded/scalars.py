@@ -528,7 +528,7 @@ class ScalarField:
         term should be joined with a minus sign.
         """
         # a rational prints as "-a/b" at most, never as a sum
-        s, is_sum = self._format(x) if self.params else (str(Fraction(x)), False)
+        s, is_sum = self._format(x) if self.params else (str(x), False)
         if is_sum:
             return False, f"({s})"
         if s.startswith("-"):
@@ -614,10 +614,13 @@ class ParamScalar:
         return None
 
     def __add__(self, other):
-        o = self._operand(other)
+        o = other if type(other) is ParamScalar else self._operand(other)
         if o is None:
             return NotImplemented
         d1, d2 = self._den, o._den
+        if d1 is d2 and d1 is self.field._unit:
+            # _add drops zeros and keeps the operands' checked exponents
+            return ParamScalar(self.field, _add(self._num, o._num), d1)
         if d1 is d2 or d1 == d2:
             return self.field.normalize(_add(self._num, o._num), d1)
         return self.field.normalize(
@@ -639,20 +642,24 @@ class ParamScalar:
         return o.__sub__(self)
 
     def __mul__(self, other):
-        o = self._operand(other)
+        o = other if type(other) is ParamScalar else self._operand(other)
         if o is None:
             return NotImplemented
         d1, d2 = self._den, o._den
-        unit = self.field._unit
+        field = self.field
+        unit = field._unit
         # the numerator of one is the unit dict's twin
         if d2 is unit and o._num == unit:
             return self
         if d1 is unit and self._num == unit:
             return o
-        return self.field.normalize(
-            _mul(self._num, o._num),
-            unit if d1 is unit and d2 is unit else _mul(d1, d2),
-        )
+        if d1 is unit and d2 is unit:
+            # _mul drops zeros; only the exponents need their check
+            num = _mul(self._num, o._num)
+            if field._guard:
+                field._check(num)
+            return ParamScalar(field, num, unit)
+        return field.normalize(_mul(self._num, o._num), _mul(d1, d2))
 
     __rmul__ = __mul__
 

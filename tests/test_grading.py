@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -16,16 +17,19 @@ from semigraded.grading import (
     rref,
     window_dims,
 )
+from semigraded import rewrite
 from semigraded.presentation import (
     format_element,
     make_presentation,
     parse_element,
     parse_presentation,
+    specialize_presentation,
 )
 from semigraded.scalars import ScalarField
 
 from oracles import count_monomials, rref as rref_oracle
 
+INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs"
 KX = "algebra kx { vars: x1; }"
 KXY = "algebra kxy { vars: x1, x2; }"
 DISPIN = """
@@ -174,6 +178,39 @@ def test_echelon_stores_primitive_integer_rows():
         assert all(type(x) is Fraction for row in reduced for x in row.values())
 
 
+def test_echelon_with_one_term_rows_against_rref_oracle():
+    # most rows are monomials {col: c}: a one-term pivot only deletes its
+    # column.  Rows enter through insert (rational, copied) and adopt
+    # (integral, kept), and an echelon with lead=max pivots on the highest
+    # key, which is the oracle's leftmost column after reversing the columns
+    rng = random.Random(29)
+    width = 40
+    for trial in range(30):
+        rows = []
+        for _ in range(rng.randrange(10, 50)):
+            cols = rng.sample(range(width), 1 if rng.random() < 0.7 else rng.randrange(2, 6))
+            rows.append({c: rng.randrange(-5, 6) or 1 for c in cols})
+        dense = [[Fraction(row.get(c, 0)) for c in range(width)] for row in rows]
+        for lead, reverse in ((min, False), (max, True)):
+            echelon = Echelon((), lead)
+            for i, row in enumerate(rows):
+                if i % 2:
+                    echelon.adopt(dict(row))
+                else:
+                    echelon.insert({c: Fraction(x) for c, x in row.items()})
+            for pivot, row in echelon.pivots.items():
+                assert pivot == lead(row) and row[pivot] > 0
+                if len(row) == 1:
+                    assert row == {pivot: 1}
+            order = list(range(width))[::-1] if reverse else list(range(width))
+            want_rows, want_pivots = rref_oracle([[r[c] for c in order] for r in dense])
+            got = echelon.rref()
+            assert [order[lead(row)] if reverse else lead(row) for row in got] == want_pivots
+            assert [
+                [row.get(c, 0) for c in order] for row in got
+            ] == want_rows, (trial, lead)
+
+
 def test_left_ideal_window_monomial_ideal():
     p = parse_presentation(KXY)
     ws = left_ideal_window(p, [parse_element(p, "x1")], 2)
@@ -184,6 +221,39 @@ def test_left_ideal_window_monomial_ideal():
     assert d["window_degree"] == 2
     assert d["rank"] == 3
     assert d["specialization"] == {}
+
+
+def test_left_ideal_window_equals_the_span_of_direct_products():
+    # each window row is one engine step from a row of one degree less;
+    # the row space must be that of the products x^mu * g taken whole
+    rng = random.Random(31)
+    for name in ("uso3", "dispin", "weyl2"):
+        p = parse_presentation((INPUTS / f"{name}.sgr").read_text())
+        spec, full = specialize_presentation(p)
+        eng = rewrite._engine(spec)
+        for d in (4, 5, 6) if p.n == 3 else (4, 5):
+            gens = []
+            for _ in range(2):
+                terms = [
+                    f"{rng.choice([2, 1, 3])}*"
+                    + "*".join(rng.choice(p.gens) for _ in range(rng.randrange(1, d - 1)))
+                    for _ in range(rng.randrange(2, 4))
+                ]
+                gens.append(parse_element(p, " - ".join(terms)))
+            ws = left_ideal_window(p, gens, d)
+            window = ws.window
+            rows = []
+            for g in gens:
+                g_terms = eng.pack({e: p.field.evaluate(c, full) for e, c in g.terms.items()})[0]
+                for mu in window.basis:
+                    if sum(mu) + g.degree() <= d:
+                        row = [Fraction(0)] * window.dimension
+                        for exp, c in eng.unpack(eng.product({eng.key(mu): 1}, g_terms)[0]).items():
+                            row[window.index_of(exp)] = Fraction(c)
+                        rows.append(row)
+            want_rows, want_pivots = rref(rows)
+            assert ws.pivots == want_pivots, (name, d)
+            assert ws.rows == want_rows, (name, d)
 
 
 def test_left_ideal_window_whole_ring():

@@ -259,6 +259,25 @@ def test_span_growth_over_fractional_rules_against_rref_oracle():
                 assert est.dims == (13, 34, 50, 70, 125, 203, 252)
 
 
+def test_span_growth_with_scaled_sum_and_product_factors():
+    # a one-letter factor with a coefficient (2*x1, -3*y1) takes one engine
+    # step per row, a sum or a product of letters a full product; the dims
+    # are those of the full products for every factor
+    cases = [
+        (USO3, ("1", "x1+x2", "x3"), (7, 14, 38, 57, 81, 148, 192)),
+        (WEYL2, ("1", "-3*y1", "x1+y2", "x2"), (10, 20, 56, 84, 120, 220, 286)),
+        (DISPIN, ("1", "x1+x2", "x1*x3"), (7, 15, 47, 73, 107, 203, 267)),
+        (WORONOWICZ, ("1", "2*x1", "x2*x3", "x3"), (11, 23, 69, 106, 154, 290, 381)),
+    ]
+    for text, elements, dims in cases:
+        p = parse_presentation(text)
+        frame = Frame(tuple(parse_element(p, e) for e in elements))
+        est = ggk_estimate(p, frame=frame, k_max=10)
+        assert est.method == "span_growth"
+        assert est.sample_points == (2, 3, 5, 6, 7, 9, 10)
+        assert est.dims == dims, (p.name, elements)
+
+
 def test_span_growth_tracks_default_at_k12():
     p = parse_presentation(WORONOWICZ)
     frame = Frame(tuple(

@@ -315,6 +315,8 @@ EXPRESSION_ERRORS = [
     ("x1^x2", "malformed exponent", 4),
     ("x1^(1/0)", "zero exponent denominator", 5),
     ("(" * 101 + "x1" + ")" * 101, "parentheses nested deeper than _NESTING_CAP = 100", 101),
+    # refused before Python's own int-from-text limit is reached
+    ("2*" + "7" * 5000 + "*x1", "integer of 5000 digits exceeds _DIGIT_CAP = 4300", 3),
     # numbers are ASCII digits: a superscript two is no exponent, and an
     # Arabic-Indic three is no 3
     ("x1^\u00b2", "unexpected character '\u00b2'", 4),
@@ -341,6 +343,11 @@ def test_expression_errors_point_at_the_operator():
             parse_presentation(head + text + ";\n}")
         err = excinfo.value
         assert (err.message, err.line, err.col) == (message, 3, offset + col), text
+
+
+def test_integer_literal_at_the_digit_cap_parses():
+    p = parse_presentation(DISPIN)
+    assert parse_element(p, "7" * 4300 + "*x1") == NCPoly({(1, 0, 0): Fraction(int("7" * 4300))})
 
 
 def test_duplicate_and_bad_generators_rejected():

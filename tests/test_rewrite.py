@@ -201,6 +201,35 @@ def test_check_pbw_fails_with_witness_for_perturbed_dispin():
     assert witness["left"] != witness["right"]
 
 
+def test_check_pbw_counts_tail_free_triples_as_proved(monkeypatch):
+    # only a triple in which some pair's relation has a tail is
+    # re-associated (four products); every triple still counts
+    products = []
+
+    def counted(p, a, b):
+        products.append(1)
+        return nc_mul(p, a, b)
+
+    monkeypatch.setattr(rewrite, "nc_mul", counted)
+    gens = ", ".join(f"x{i}" for i in range(1, 91))
+    report = check_pbw(parse_presentation(f"algebra k90 {{ vars: {gens}; }}"), samples=0)
+    assert report.ok and report.triples_checked == 117_480
+    assert products == []
+    gens = ", ".join(f"x{i}" for i in range(1, 13))
+    p = parse_presentation(
+        f"algebra k12 {{ params: q inv; vars: {gens}; rel: x5*x2 = q*x2*x5;"
+        " rel: x12*x11 = x11*x12 + x1; }"
+    )
+    report = check_pbw(p, samples=0)
+    assert report.ok and report.triples_checked == 220
+    # the ten triples (xi, x11, x12)
+    assert len(products) == 4 * 10
+    # a tail that breaks an overlap is still found
+    products.clear()
+    report = check_pbw(parse_presentation(DISPIN.replace("x2*x3 - x3", "x2*x3 + 1")))
+    assert not report.ok and report.failures[0]["triple"] == "(x3, x2, x1)"
+
+
 def test_check_pbw_rejects_type8_misreading():
     # the three-variable type with [x2,x3]=x3 and [x1,x2]=0 only closes when
     # the second bracket is [x3,x1]=x3; reading it as x1 leaves a residue
