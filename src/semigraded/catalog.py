@@ -19,11 +19,10 @@ through the same canonicalization and checks as user input.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Mapping, Optional
 
 from .grading import window_dims
-from .invariants import format_polynomial, gp_coefficients
+from .invariants import _cleared_polynomial, format_polynomial, gp_coefficients
 from .presentation import (
     AlgebraPresentation,
     parse_presentation,
@@ -257,9 +256,8 @@ def _entry(
     if gp_string is None:
         raise AssertionError(f"no polynomial string rule for dimension {table_n!r}")
     return CatalogEntry(
-        key, name, table_id, table_n, gh, gp_string,
-        explicit_gp=explicit_gp, builders=builders,
-        stated_q_matrix=stated_q_matrix, notes=notes,
+        key, name, table_id, table_n, gh, gp_string, explicit_gp, builders,
+        stated_q_matrix, notes,
     )
 
 
@@ -562,8 +560,6 @@ def catalog_verify(
             f"{ {s: merged[s] for s in entry.symbols} }; need a value >= 1"
         )
     formula_gp_coeffs = gp_coefficients(e)
-    formula_den = math.factorial(e - 1)
-    formula_numerators = tuple(int(c * formula_den) for c in formula_gp_coeffs)
 
     matches_gp = recorded_gp_matches(entry, formula_gp_coeffs)
     if entry.explicit_gp is not None:
@@ -577,8 +573,7 @@ def catalog_verify(
     else:
         gp_comparison = "abbreviated"
         table_gp_resolved = {
-            "denominator": formula_den,
-            "numerator_coefficients": list(formula_numerators),
+            **_cleared_polynomial(formula_gp_coeffs),
             "abbreviated": True,
             "compared": "formula-only",
         }

@@ -14,10 +14,11 @@ input file.
 
 Every subcommand is a function ``(subject, args) -> (results, warnings,
 ok)``; ``subject`` is the parsed presentation, or the catalog bindings for
-``catalog``.  ``main`` alone checks flag floors, loads the file, computes
-the fingerprint, times the call, emits the report and maps errors to exit
-codes: 0 on success, 1 on domain errors (parse/validation/specialization
-failures, overlaps that do not resolve, a cap), 2 on usage errors.
+``catalog``.  ``main`` alone checks flag floors, loads the file, parses
+``--specialize``, computes the fingerprint, times the call, emits the
+report and maps errors to exit codes: 0 on success, 1 on domain errors
+(parse/validation/specialization failures, overlaps that do not resolve, a
+cap), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from .presentation import (
     validate,
 )
 from .rewrite import check_pbw
+from .scalars import _assignment_report
 
 __all__ = ["main"]
 
@@ -149,11 +151,10 @@ def _emit(report: dict, fmt: str, started: float) -> None:
 
 
 def _specialization_warning(assignment: dict) -> dict:
-    values = {name: str(value) for name, value in sorted(assignment.items())}
     return {
         "code": "specialization-applied",
         "message": "parameters were specialized to rational values for this computation",
-        "values": values,
+        "values": _assignment_report(assignment),
     }
 
 
@@ -237,13 +238,10 @@ def _cmd_hilbert(p, args):
 
 
 def _cmd_gkdim(p, args):
-    specialization = None
-    if args.specialize:
-        specialization = _parse_assignments(args.specialize, "specialization")
     frame = None
     if args.frame:
         frame = Frame(tuple(parse_element(p, expr) for expr in args.frame.split(",")))
-    estimate = ggk_estimate(p, frame=frame, k_max=args.kmax, specialization=specialization)
+    estimate = ggk_estimate(p, frame=frame, k_max=args.kmax, specialization=args.specialize)
     warnings = [
         {
             "code": "finite-window-estimate",
@@ -272,13 +270,8 @@ def _cmd_gr(p, args):
 
 
 def _cmd_ideal_window(p, args):
-    specialization = (
-        _parse_assignments(args.specialize, "specialization")
-        if args.specialize
-        else None
-    )
     generators = [parse_element(p, expr) for expr in args.gens.split(",")]
-    ws = left_ideal_window(p, generators, args.degree, specialization)
+    ws = left_ideal_window(p, generators, args.degree, args.specialize)
     results = {
         "window": ws.to_dict(),
         "semigraded": is_semigraded_window(ws).to_dict(),
@@ -444,6 +437,8 @@ def main(argv: Optional[list] = None) -> int:
             identity = print_presentation(subject)
             if args.gated:
                 _require_basis(subject)
+            if getattr(args, "specialize", None) is not None:
+                args.specialize = _parse_assignments(args.specialize, "specialization")
         results, warnings, ok = args.run(subject, args)
         report = {
             "command": command,

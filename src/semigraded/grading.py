@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .presentation import (
@@ -35,7 +35,7 @@ from .presentation import (
 )
 from . import rewrite
 from .rewrite import NCPoly
-from .scalars import ScalarField, _FrozenRecord, _Record
+from .scalars import ScalarField, _FrozenRecord, _Record, _assignment_report, _cleared
 
 __all__ = [
     "FiltrationWindow",
@@ -158,8 +158,9 @@ class Echelon:
     descending-deglex order, pivots on the leading monomial.  Frame growth
     in ``invariants`` inserts the rewrite engine's packed monomials as they
     are, with ``lead=max``, so it pivots on the lex-largest monomial.  A
-    stored row has entries with gcd 1 and a positive lead; rational input
-    is cleared by the lcm of its denominators on the way in.  Elimination is
+    stored row has entries with gcd 1 and a positive lead.  :meth:`insert`
+    and :meth:`contains` copy their input, cleared to integers over the lcm
+    of its denominators by ``scalars._cleared``.  Elimination is
     fraction-free, ``h * row - a * pivot``, and every division (by a row's
     content, by its lead at the output) is exact, as in E. Bareiss, Math.
     Comp. 22, 1968; a one-term pivot row ``{key: 1}`` only deletes ``key``.
@@ -193,7 +194,7 @@ class Echelon:
 
     def insert(self, row: Mapping[int, Fraction]) -> Optional[dict]:
         """Add ``row``; returns its new pivot row, or None if already spanned."""
-        return self.adopt(_integral(row))
+        return self.adopt(dict(_cleared(row)[0]))
 
     def adopt(self, row: dict) -> Optional[dict]:
         """:meth:`insert` of a fresh all-``int`` row, which the echelon
@@ -207,7 +208,7 @@ class Echelon:
         return row
 
     def contains(self, row: Mapping[int, Fraction]) -> bool:
-        return not self.reduce(_integral(row))
+        return not self.reduce(dict(_cleared(row)[0]))
 
     def back_substitute(self) -> None:
         """Clear every pivot column from the other rows, in integers.
@@ -233,14 +234,6 @@ class Echelon:
             {c: Fraction(x, row[lead]) for c, x in row.items()}
             for lead, row in sorted(pivots.items(), reverse=self.lead is max)
         ]
-
-
-def _integral(row: Mapping[int, Fraction]) -> dict:
-    """A new dict of integers: ``row`` times the lcm of its denominators."""
-    if all(type(x) is int for x in row.values()):
-        return dict(row)
-    den = lcm(*(x.denominator for x in row.values()))
-    return {c: x.numerator * (den // x.denominator) for c, x in row.items()}
 
 
 def _eliminate(row: dict, col: int, other: Mapping[int, int]) -> None:
@@ -334,12 +327,22 @@ class WindowSubspace(_Record):
     def to_dict(self) -> dict:
         return {
             "window_degree": self.window.d,
-            "specialization": {
-                name: str(value) for name, value in sorted(self.specialization.items())
-            },
+            "specialization": _assignment_report(self.specialization),
             "rank": self.rank,
             "pivot_monomials": self.pivot_monomials(),
         }
+
+
+def _specialized(presentation: AlgebraPresentation, elements, specialization):
+    """``presentation`` specialized under ``specialization``, the full
+    assignment, and each element's specialized degree and integer
+    numerators on the specialized rewrite engine's packed monomials."""
+    spec_pres, full = specialize_presentation(presentation, specialization)
+    evaluate, pack = presentation.field.evaluate, rewrite._engine(spec_pres).pack
+    elements = [
+        NCPoly({exp: evaluate(c, full) for exp, c in e.terms.items()}) for e in elements
+    ]
+    return spec_pres, full, [(e.degree(), pack(e.terms)[0]) for e in elements]
 
 
 # The work of an ideal window grows with its dimension C(n+d, d), not with d
@@ -374,23 +377,17 @@ def left_ideal_window(
             f"dimension {dimension} (> _WINDOW_DIMENSION_CAP = "
             f"{_WINDOW_DIMENSION_CAP}); lower the window degree"
         )
-    spec_pres, full = specialize_presentation(presentation, specialization)
+    spec_pres, full, packed_gens = _specialized(presentation, generators, specialization)
     window, packed, column = _window(spec_pres, d)
     eng = rewrite._engine(spec_pres)
-    field = presentation.field
     echelon = Echelon()
-    for gen in generators:
-        spec_gen = NCPoly(
-            {exp: field.evaluate(coeff, full) for exp, coeff in gen.terms.items()}
-        )
-        if not spec_gen:
-            continue
-        budget = d - spec_gen.degree()
-        if budget < 0:
+    for degree, gen in packed_gens:
+        budget = d - degree
+        if not gen or budget < 0:
             continue
         # the monomials of degree <= budget end the window, lowest last
         monomials = packed[-comb(presentation.n + budget, budget):]
-        products = {0: eng.pack(spec_gen.terms)[0]}
+        products = {0: gen}
         for mu in reversed(monomials[:-1]):
             j = eng.first_letter(mu)
             products[mu] = eng.var_times_multiple(j, products[mu - eng.unit[j]])
@@ -452,4 +449,4 @@ def is_semigraded_window(ws: WindowSubspace) -> SemigradedReport:
                     ),
                 }
                 return SemigradedReport(False, window.d, witness)
-    return SemigradedReport(True, window.d)
+    return SemigradedReport(True, window.d, None)

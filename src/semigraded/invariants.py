@@ -24,13 +24,12 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
-from .grading import Echelon, degree_count
-from .presentation import AlgebraPresentation, specialize_presentation
+from .grading import Echelon, _specialized, degree_count
+from .presentation import AlgebraPresentation
 from . import rewrite
-from .rewrite import NCPoly
 from .scalars import (
-    ParamDecl, ScalarField, SpecializationError, _format_assignment, _FrozenRecord,
-    _Record,
+    ParamDecl, ScalarField, SpecializationError, _assignment_report, _cleared,
+    _eval_poly, _format_assignment, _FrozenRecord, _Record,
 )
 
 __all__ = [
@@ -81,19 +80,12 @@ class HilbertData(_Record):
     def polynomial_value(self, k: int) -> Fraction:
         if self.polynomial_coefficients is None:
             raise ValueError("no polynomial in the zero-variable case")
-        return _eval_poly(self.polynomial_coefficients, k)
+        coefficients = enumerate(self.polynomial_coefficients)
+        return _eval_poly({(e,): c for e, c in coefficients}, (k,))
 
     def to_dict(self) -> dict:
-        if self.polynomial_coefficients is None:
-            polynomial = None
-        else:
-            denominator = math.factorial(self.n - 1)
-            polynomial = {
-                "denominator": denominator,
-                "numerator_coefficients": [
-                    int(c * denominator) for c in self.polynomial_coefficients
-                ],
-            }
+        coefficients = self.polynomial_coefficients
+        polynomial = None if coefficients is None else _cleared_polynomial(coefficients)
         exponent = self.series_denominator_exponent
         return {
             "n": self.n,
@@ -102,13 +94,6 @@ class HilbertData(_Record):
             "polynomial": polynomial,
             "ggk": self.ggk,
         }
-
-
-def _eval_poly(coeffs: Sequence[Fraction], k: int) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(coeffs):
-        value = value * k + c
-    return value
 
 
 def hilbert_function(presentation: AlgebraPresentation, k: int) -> int:
@@ -178,9 +163,15 @@ def format_polynomial(coefficients: Sequence[Fraction]) -> str:
     in parentheses — e.g. "(t^2 + 3*t + 2)/2".  The numerators share no
     factor with that denominator, so the field cancels nothing.
     """
-    denominator = math.lcm(*(c.denominator for c in coefficients))
-    numerators = {power: int(c * denominator) for power, c in enumerate(coefficients)}
+    numerators, denominator = _cleared(dict(enumerate(coefficients)))
     return _POLYNOMIALS.format(_POLYNOMIALS.normalize(numerators, denominator))
+
+
+def _cleared_polynomial(coefficients: Sequence[Fraction]) -> dict:
+    """Rational coefficients, constant first, as integer numerators over
+    their least common denominator, as reports list them."""
+    numerators, denominator = _cleared(dict(enumerate(coefficients)))
+    return {"denominator": denominator, "numerator_coefficients": list(numerators.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +227,8 @@ class GkEstimate(_Record):
                 for k, dim, pw in zip(self.sample_points, self.dims, self.pointwise)
             ],
             "specialization": (
-                None
-                if self.specialization is None
-                else {name: str(v) for name, v in sorted(self.specialization.items())}
+                None if self.specialization is None
+                else _assignment_report(self.specialization)
             ),
         }
 
@@ -322,21 +312,14 @@ def ggk_estimate(
         dims = tuple(comb(n + k, k) for k in points)
         return GkEstimate(
             _fit_slope(points, dims), "closed_form", k_max, points, dims,
-            _pointwise(points, dims),
+            _pointwise(points, dims), None,
         )
 
-    spec_pres, full = specialize_presentation(presentation, specialization)
-    field = presentation.field
-    basis = [
-        NCPoly({exp: field.evaluate(c, full) for exp, c in element.terms.items()})
-        for element in frame.basis
-    ]
-    degree = max((b.degree() for b in basis if b), default=0)
-    if any(not b for b in basis):
+    spec_pres, full, basis = _specialized(presentation, frame.basis, specialization)
+    degrees, packed = zip(*basis)
+    if not all(packed):
         raise _frame_error("degenerates to zero", full)
-
     eng = rewrite._engine(spec_pres)
-    packed = [eng.pack(b.terms)[0] for b in basis]
     echelon = Echelon((), max)
     frontier = []
     for b in packed:
@@ -347,6 +330,7 @@ def ggk_estimate(
     if not echelon.contains({0: 1}):
         raise ValueError("the frame span must contain 1")
 
+    degree = max(degrees)
     if len(echelon.pivots) == comb(n + degree, degree) and degree >= 1:
         dims = tuple(comb(n + k * degree, k * degree) for k in points)
         return GkEstimate(

@@ -41,6 +41,9 @@ from .scalars import (
     ScalarField,
     SpecializationError,
     _Record,
+    _add,
+    _mul,
+    _scale,
     signed_sum,
 )
 
@@ -283,10 +286,12 @@ class _Cursor:
 # expression evaluation
 # ---------------------------------------------------------------------------
 #
-# Values are dicts mapping a basis key to a field scalar, and the evaluator
-# is told which ring they live in.  Relation sides are evaluated in the free
-# algebra (keys are words, tuples of generator indices with the left factor
-# first), so canonicalization sees the literal words ``xj*xi`` and ``xi*xj``.
+# Values are dicts mapping a basis key to a nonzero field scalar, added and
+# scaled by ``scalars._add`` and ``_scale``, and the evaluator is told which
+# ring they live in.  Relation sides are evaluated in the free algebra (keys
+# are words, tuples of generator indices with the left factor first, which
+# ``scalars._mul`` concatenates in order), so canonicalization sees the
+# literal words ``xj*xi`` and ``xi*xj``.
 # Element text is evaluated straight in the ordered-monomial basis (keys are
 # the rewrite engine's packed monomials, products go through it), so
 # ``(x1+x2+x3)^40`` never expands into 3^40 words.
@@ -298,36 +303,6 @@ _EXPONENT_CAP = 10_000
 # Each parenthesis costs four nested calls of the recursive-descent parser,
 # so deeper nesting is refused well before Python's recursion limit.
 _NESTING_CAP = 100
-
-
-def _add(field, p, q):
-    out = dict(p)
-    for w, c in q.items():
-        s = out.get(w, field.zero) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def _scale(p, c):
-    if not c:
-        return {}
-    return {w: c * v for w, v in p.items()}
-
-
-def _free_mul(field, p, q):
-    out: dict = {}
-    for w1, c1 in p.items():
-        for w2, c2 in q.items():
-            w = w1 + w2
-            s = out.get(w, field.zero) + c1 * c2
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
 
 
 class _ExprParser:
@@ -373,7 +348,7 @@ class _ExprParser:
             rhs = self.parse_term()
             if op == "-":
                 rhs = _scale(rhs, -self.field.one)
-            value = _add(self.field, value, rhs)
+            value = _add(value, rhs)
         return value
 
     def parse_term(self):
@@ -433,7 +408,9 @@ class _ExprParser:
         tok = cur.peek()
         if tok.kind == "int":
             cur.take()
-            return {self.one_key: self.field.from_int(int(tok.text))}, None
+            # a literal 0 is the empty sum: no value holds a zero coefficient
+            c = self.field.from_int(int(tok.text))
+            return ({self.one_key: c} if c else {}), None
         if tok.kind == "name":
             cur.take()
             if tok.text in self.keys:
@@ -549,7 +526,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
     cur.expect(";")
 
     words = {g: (k,) for k, g in enumerate(gens)}
-    expr = _ExprParser(cur, field, words, (), partial(_free_mul, field))
+    expr = _ExprParser(cur, field, words, (), _mul)
     relations: dict = {}
     while cur.at_keyword("rel"):
         rel_tok = cur.take()
@@ -558,7 +535,7 @@ def parse_presentation(text: str) -> AlgebraPresentation:
         cur.expect("=")
         rhs = expr.parse_expr()
         cur.expect(";")
-        diff = _add(field, lhs, _scale(rhs, -field.one))
+        diff = _add(lhs, _scale(rhs, -field.one))
         rel = _canonicalize_relation(field, diff, gens, partial(cur.fail, tok=rel_tok))
         key = (rel.i, rel.j)
         if key in relations:
@@ -645,7 +622,7 @@ def parse_element(presentation: AlgebraPresentation, text: str):
 
 def parse_scalar(field: ScalarField, text: str) -> Scalar:
     """Parse a pure scalar expression (no generators)."""
-    value = _evaluate(text, field, {}, (), partial(_free_mul, field))
+    value = _evaluate(text, field, {}, (), _mul)
     return value.get((), field.zero)
 
 
@@ -755,7 +732,7 @@ def validate(presentation: AlgebraPresentation) -> Diagnostics:
             ))
         if rel.has_lower_terms():
             quasi = False
-    return Diagnostics(findings=findings, quasi_commutative=quasi, bijective=not zero_c)
+    return Diagnostics(findings, quasi, not zero_c)
 
 
 def associated_graded(presentation: AlgebraPresentation) -> AlgebraPresentation:

@@ -65,7 +65,7 @@ from math import gcd, lcm
 from typing import Mapping, Optional
 
 from .presentation import AlgebraPresentation, format_element
-from .scalars import _Record
+from .scalars import _Record, _add, _cleared, _scale
 
 __all__ = [
     "NCPoly",
@@ -110,15 +110,7 @@ class NCPoly:
         return hash(frozenset(self.terms))
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            cur = out.get(exp)
-            s = c if cur is None else cur + c
-            if s:
-                out[exp] = s
-            else:
-                del out[exp]
-        return NCPoly(out)
+        return NCPoly(_add(self.terms, other.terms))
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         return self + (-other)
@@ -133,9 +125,7 @@ class NCPoly:
         return max(sum(exp) for exp in self.terms)
 
     def scale(self, c) -> "NCPoly":
-        if not c:
-            return NCPoly({})
-        return NCPoly({exp: c * v for exp, v in self.terms.items()})
+        return NCPoly(_scale(self.terms, c))
 
     def __repr__(self) -> str:
         return f"NCPoly({self.terms!r})"
@@ -184,18 +174,6 @@ def _degree_overflow(degree) -> ValueError:
         f"_DEGREE_LIMIT = 2^{_FIELD_BITS - 1}: exponents are packed into "
         f"{_FIELD_BITS}-bit fields; use lower degrees"
     )
-
-
-def _cleared(terms: Mapping) -> tuple[dict, int]:
-    """Rational coefficients as integer numerators over their least common
-    denominator: ``(numerators, denominator)``.  All-``int`` terms are
-    returned as they are."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    if den == 1:
-        if all(type(c) is int for c in terms.values()):
-            return terms, 1
-        return {exp: c.numerator for exp, c in terms.items()}, 1
-    return {exp: c.numerator * (den // c.denominator) for exp, c in terms.items()}, den
 
 
 def _widen(terms: dict, den: int) -> dict:
@@ -257,8 +235,8 @@ class _Engine:
             values = (rel.c, *rel.linear, rel.constant)
             den = 1
             if self.rational:
-                den = lcm(*(v.denominator for v in values))
-                values = tuple(v.numerator * (den // v.denominator) for v in values)
+                cleared, den = _cleared(dict(enumerate(values)))
+                values = tuple(cleared.values())
             linear = [(k, s) for k, s in enumerate(values[1:-1]) if s]
             if linear:
                 top = max(top, linear[-1][0])
@@ -674,11 +652,4 @@ def check_pbw(
                 "left": format_element(left.terms, gens, p.field),
                 "right": format_element(right.terms, gens, p.field),
             })
-    return PbwReport(
-        ok=not failures,
-        triples_checked=triples,
-        sample_triples_checked=sampled,
-        degree_bound=degree_bound,
-        seed=seed,
-        failures=failures,
-    )
+    return PbwReport(not failures, triples, sampled, degree_bound, seed, failures)

@@ -38,12 +38,20 @@ appear only at the public boundary: ``num``, ``den``, ``scalar_normalize``,
 Printed sums are built in one place: :func:`signed_sum` joins the terms of
 a scalar polynomial, of an element (``presentation.format_element``) and of
 a Hilbert polynomial, which is printed as an element of Q(t).
+
+Sparse sums ``{key: nonzero coefficient}`` share one arithmetic in one
+place: :func:`_add`, :func:`_scale` and :func:`_mul` serve the polynomials
+of a scalar, the parser's relation words and element values, and
+``NCPoly``; keys multiply by ``+``, so packed monomials add and words
+concatenate, the left factor first.  :func:`_cleared` clears denominators
+for the rewrite engine, the window echelon and the Hilbert polynomial, and
+:func:`_eval_poly` evaluates for specialization and the Hilbert polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import index, mul
 from typing import Mapping, Optional, Union
 
@@ -762,7 +770,7 @@ def scalar_specialize(
     return field.specialize(x, assignment)
 
 
-# -- sparse integer polynomials {monomial key: nonzero int} ---------------
+# -- sparse polynomials {key: nonzero coefficient} ------------------------
 
 
 def _shift(p: dict, key: int) -> dict:
@@ -771,35 +779,72 @@ def _shift(p: dict, key: int) -> dict:
 
 
 def _add(a: dict, b: dict) -> dict:
+    """``a + b`` as a new dict, dropping the terms that cancel."""
     out = dict(a)
     get = out.get
     for e, c in b.items():
-        out[e] = get(e, 0) + c
-    if 0 in out.values():
-        return {e: c for e, c in out.items() if c}
+        s = get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s += c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
     return out
 
 
-def _mul(a: dict, b: dict) -> dict:
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
+def _scale(p: dict, c) -> dict:
+    """``c * p``; a zero ``c`` gives ``{}``."""
+    if not c:
         return {}
+    return {e: c * v for e, v in p.items()}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """``a * b``, the key of each term product the sum of the left key and
+    the right one: packed monomials multiply, words concatenate in order.
+    Terms that cancel are dropped; a factor ``{0: 1}`` (or ``{(): 1}``)
+    returns the other factor itself."""
     if len(b) == 1:
         ((eb, cb),) = b.items()
-        if not eb:
-            return a if cb == 1 else {e: c * cb for e, c in a.items()}
+        if not eb and cb == 1:
+            return a
         return {e + eb: c * cb for e, c in a.items()}
+    if len(a) == 1:
+        ((ea, ca),) = a.items()
+        if not ea and ca == 1:
+            return b
+        return {ea + e: ca * c for e, c in b.items()}
     out: dict = {}
     get = out.get
     b_items = list(b.items())
     for ea, ca in a.items():
         for eb, cb in b_items:
             e = ea + eb
-            out[e] = get(e, 0) + ca * cb
-    if 0 in out.values():
-        return {e: c for e, c in out.items() if c}
+            s = get(e)
+            if s is None:
+                out[e] = ca * cb
+            else:
+                s += ca * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
     return out
+
+
+def _cleared(terms: Mapping) -> tuple[dict, int]:
+    """Rational coefficients as integer numerators over their least common
+    denominator: ``(numerators, denominator)``.  All-``int`` terms are
+    returned as they are."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    if den == 1:
+        if all(type(c) is int for c in terms.values()):
+            return terms, 1
+        return {e: c.numerator for e, c in terms.items()}, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def _pow(field: ScalarField, p: dict, k: int) -> dict:
@@ -817,7 +862,8 @@ def _pow(field: ScalarField, p: dict, k: int) -> dict:
     return result
 
 
-def _eval_poly(p: dict, values: list[Fraction]) -> Fraction:
+def _eval_poly(p: dict, values) -> Fraction:
+    """``{exponent tuple: coefficient}`` at ``values``, one per variable."""
     total = Fraction(0)
     for monom, coeff in p.items():
         term = Fraction(coeff)
@@ -841,6 +887,11 @@ def _primes(count: int) -> list[int]:
 
 def _format_assignment(assignment: Mapping[str, Fraction]) -> str:
     return "{" + ", ".join(f"{k}={assignment[k]}" for k in sorted(assignment)) + "}"
+
+
+def _assignment_report(assignment: Mapping[str, Fraction]) -> dict:
+    """``{name: value text}``, sorted by name, as reports print it."""
+    return {name: str(assignment[name]) for name in sorted(assignment)}
 
 
 def signed_sum(terms) -> str:

@@ -1,8 +1,10 @@
 """Presentation DSL: parsing, canonicalization, diagnostics, transforms."""
 
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semigraded.catalog import CatalogEntry, catalog_entry
 from semigraded.grading import (
@@ -78,6 +80,49 @@ def test_print_parse_round_trip():
         assert print_presentation(again) == printed
 
 
+@st.composite
+def sgr_texts(draw):
+    """``.sgr`` text of 2-4 generators over Q or Q(q^(1/2)), with random pair
+    relations: a nonzero c and random linear and constant tails, each
+    coefficient a rational or a Laurent sum in q^(1/2) such as q + 1/q^(1/2)."""
+    n = draw(st.integers(2, 4))
+    parametric = draw(st.booleans())
+    rationals = st.fractions(-9, 9, max_denominator=6).filter(bool)
+    if parametric:
+        # distinct half-integer powers of q, so that no sum vanishes
+        sums = st.dictionaries(st.integers(-3, 3), rationals, min_size=1, max_size=3)
+        scalars = sums.map(lambda terms: "(" + " + ".join(
+            f"({c})*q^({e}/2)" if e >= 0 else f"({c})/q^({-e}/2)" for e, c in terms.items()
+        ) + ")")
+    else:
+        scalars = rationals.map(lambda c: f"({c})")
+    gens = [f"x{k}" for k in range(1, n + 1)]
+    relations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not draw(st.booleans()):
+                continue
+            rhs = [f"{draw(scalars)}*{gens[i]}*{gens[j]}"]
+            rhs += [f"{draw(scalars)}*{g}" for g in gens if draw(st.booleans())]
+            if draw(st.booleans()):
+                rhs.append(draw(scalars))
+            relations.append(f"  rel: {gens[j]}*{gens[i]} = {' + '.join(rhs)};")
+    params = ["  params: q inv root 2;"] if parametric else []
+    return "\n".join(
+        ["algebra r {", *params, f"  vars: {', '.join(gens)};", *relations, "}"]
+    )
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=2), max_examples=100)
+@given(sgr_texts())
+def test_random_presentations_round_trip_through_the_printer(text):
+    p = parse_presentation(text)
+    printed = print_presentation(p)
+    again = parse_presentation(printed)
+    assert again == p
+    assert print_presentation(again) == printed
+
+
 def test_comments_and_whitespace_ignored():
     text = """
 # leading comment
@@ -132,6 +177,21 @@ algebra solved {
     assert rel.c == Fraction(1)
     assert rel.linear[0] == Fraction(-1)
     assert rel.constant == Fraction(0)
+
+
+def test_zero_valued_factors_leave_no_term():
+    # a literal 0 is the empty sum, so a product with a zero factor leaves no
+    # word with a zero coefficient for canonicalization to refuse
+    head = "algebra a {\n  params: q;\n  vars: x1, x2, x3;\n  rel: x2*x1 = q*x1*x2 - x1"
+    want = parse_presentation(head + ";\n}")
+    for tail in ("x1*x3*(0)^1", "x3*x3*0^1", "(x1 - x1)*x2*x2", "(q - q)*x3*x3"):
+        assert parse_presentation(f"{head} + {tail};\n}}") == want, tail
+    field = want.field
+    assert parse_scalar(field, "0^0") == field.one
+    assert parse_scalar(field, "0*q") == field.zero
+    for text, message in (("q/0", "division by zero"), ("0^-1", "negative power of zero")):
+        with pytest.raises(PresentationError, match=message):
+            parse_scalar(field, text)
 
 
 def test_square_words_rejected():
