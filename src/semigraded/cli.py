@@ -40,6 +40,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
+# Every layer is imported here, though a subcommand needs only some of them:
+# bench/tracing.install() imports this module and then looks each traced
+# module up in sys.modules, so loading a subcommand's layers in its _cmd_*
+# waits until the tracer imports what it wraps itself.
 from .catalog import (
     DEFAULT_BINDINGS,
     catalog_entry,

@@ -13,7 +13,8 @@ cheap.  It peels the first letter x_j of the monomial level by level, in a
 loop over x_j's exponent rather than one recursive call per degree.  Every
 other product is a sequence of such steps: a term x^alpha of a left factor
 multiplies the whole right factor one letter at a time, the last letter
-first, and so does a free word.
+first, and so does a free word.  A power x_i^e of one letter moves a value
+with no letter before x_i in one pass instead of e.
 
 One routine, ``_Engine._add``, adds every such step into a result: it adds
 ``f * x_i * value`` (or ``f * value``) to a dict of numerators over one
@@ -44,7 +45,8 @@ letter of ``m`` is read from ``m.bit_length()``.  Memo keys are ints too.
 Exponent tuples stay the public form: each public call packs its operands
 once and unpacks its result once.  A monomial of degree ``_DEGREE_LIMIT``
 (2^31) or more is refused with a ``ValueError`` where it would be packed,
-so that the product of two packed monomials always fits its fields.
+so that the product of two packed monomials always fits its fields, and
+so is a one-pass letter power whose exponent would reach it.
 
 Over Q the engine computes in Python ``int`` only: rules and inputs enter
 as integer numerators over one denominator, and each memo entry holds
@@ -438,7 +440,8 @@ class _Engine:
 
         Each term x^alpha of ``p`` multiplies all of ``q`` one letter at a
         time, the last letter first, through :meth:`var_times_poly`, so
-        every rewrite is a ``_var`` entry.  Its first letter, or for a
+        every rewrite is a ``_var`` entry; a letter's power goes through
+        :meth:`letter_power`.  Its first letter, or for a
         constant term the scalar alone, adds into the one result through
         :meth:`_add`, so the result is always a fresh dict.
         """
@@ -448,12 +451,35 @@ class _Engine:
         for alpha, ca in p_terms.items():
             value, first = q_terms, None
             for i in range(n - 1, -1, -1):
-                for _ in range(alpha >> shifts[i] & mask):
-                    if first is not None:
-                        value = self.var_times_poly(first, value)
-                    first = i
+                e = alpha >> shifts[i] & mask
+                if not e:
+                    continue
+                if first is not None:
+                    value = self.var_times_poly(first, value)
+                first = i
+                if e > 1:
+                    value = self.letter_power(i, e - 1, value)
             den = self._add(out, den, ca, first, value)
         return _reduced(out, den)
+
+    def letter_power(self, i: int, k: int, value):
+        """``x_i^k * value`` as an engine value, for a ``value`` that x_i
+        multiplies once more afterwards.  Where no term of ``value`` has a
+        letter before x_i, that is one pass adding ``k * unit[i]`` to every
+        key, once x_i's exponent is known to stay below ``_DEGREE_LIMIT``;
+        otherwise ``k`` rewriting passes."""
+        nums = value[0] if type(value) is tuple else value
+        top = max(nums, default=0)
+        if top >= self.letter[i][0]:
+            for _ in range(k):
+                value = self.var_times_poly(i, value)
+            return value
+        degree = (top >> self.shifts[i]) + k + 1
+        if degree >= _DEGREE_LIMIT:
+            raise _degree_overflow(degree)
+        step = k * self.unit[i]
+        shifted = {m + step: c for m, c in nums.items()}
+        return shifted if nums is value else (shifted, value[1])
 
     def mixed_product(self, p_terms: Mapping, q_terms: Mapping) -> dict:
         """``p * q`` on packed keys for the element parser: ``int``

@@ -229,8 +229,9 @@ class ScalarField:
             )
             # the one denominator of every element with denominator 1
             self._unit = {0: 1}
-            # printed text of each monomial key, built once
+            # printed text and exponent vector of each monomial key, built once
             self._texts: dict = {}
+            self._vectors: dict = {}
             self.zero: Scalar = ParamScalar(self, {}, self._unit)
             self.one: Scalar = ParamScalar(self, {0: 1}, self._unit)
         else:
@@ -377,18 +378,24 @@ class ScalarField:
         return self._key(exponents)
 
     def _exponents(self, key: int) -> tuple:
-        """The exponent vector of a key."""
+        """The exponent vector of a key; with several parameters, unpacked
+        once per key."""
         m = len(self._units)
         if m == 1:
             return (key,)
+        vector = self._vectors.get(key)
+        if vector is not None:
+            return vector
         half = 1 << (_FIELD_BITS - 1)
         mask = (1 << _FIELD_BITS) - 1
         out = [0] * m
+        rest = key
         for i in range(m - 1, -1, -1):
-            e = ((key + half) & mask) - half
+            e = ((rest + half) & mask) - half
             out[i] = e
-            key = (key - e) >> _FIELD_BITS
-        return tuple(out)
+            rest = (rest - e) >> _FIELD_BITS
+        vector = self._vectors[key] = tuple(out)
+        return vector
 
     def _pack(self, p: Mapping):
         """``{exponent tuple: int}`` on keys; with no parameters, the int

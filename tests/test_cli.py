@@ -24,6 +24,12 @@ algebra kx {
 }
 """
 
+K2 = """\
+algebra k2 {
+  vars: x1, x2;
+}
+"""
+
 SKLYANIN = """\
 algebra sklyanin {
   vars: x, y, z;
@@ -66,6 +72,7 @@ def files(tmp_path_factory):
         ("qspace", print_presentation(build_quantum_space(3))),
         ("qplane", QPLANE),
         ("kx", KX),
+        ("k2", K2),
         ("sklyanin", SKLYANIN),
         ("broken", BROKEN),
         ("bad8", BAD8),
@@ -527,7 +534,10 @@ def test_a_huge_exponent_is_refused_in_bounded_time(files, package_env):
     (("gkdim", "dispin", "--frame", "1,x1,x2", "--kmax", "1000"),
      "_GROWTH_DIMENSION_CAP"),
     (("gkdim", "dispin", "--frame", "1,x1*x3"), "_GROWTH_DIMENSION_CAP"),
-], ids=["nesting", "trunc", "window", "param_exponent", "growth", "growth_rows"])
+    (("nf", "k2", "((x1^10000)^10000)^100"), "_DEGREE_LIMIT"),
+    (("nf", "k2", "((x2^10000)^10000)^100"), "_DEGREE_LIMIT"),
+], ids=["nesting", "trunc", "window", "param_exponent", "growth", "growth_rows",
+        "degree_x1", "degree_x2"])
 def test_input_past_a_cap_is_refused_in_bounded_time(files, package_env, argv, cap):
     # the parser recurses once per parenthesis; the series lists one
     # coefficient per degree; a window's work grows with its dimension; a
@@ -535,7 +545,8 @@ def test_input_past_a_cap_is_refused_in_bounded_time(files, package_env, argv, c
     # span's work grows with the monomials its rows use, which bound its
     # rank and each row's length: {1, x1, x2} passes the cap at k = 76 with
     # rank near the cap, {1, x1*x3} at k = 77 with rank 77 and rows of
-    # up to 2,851 terms
+    # up to 2,851 terms; a letter's exponent past _DEGREE_LIMIT would carry
+    # into the field of the letter before it
     command, name, *rest = argv
     proc = subprocess.run(
         [sys.executable, "-m", "semigraded", command, files[name], *rest,
@@ -544,6 +555,22 @@ def test_input_past_a_cap_is_refused_in_bounded_time(files, package_env, argv, c
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert cap in proc.stderr
+
+
+@pytest.mark.parametrize("name, text, form", [
+    ("dispin", "(x3^10000)^10000", "x3^100000000"),
+    ("k2", "(x1^10000)^10000", "x1^100000000"),
+])
+def test_a_power_of_a_letter_power_ends_in_bounded_time(files, package_env, name, text, form):
+    # x_i^e times a value with no letter before x_i adds e to one exponent
+    # in one pass; a pass per unit of e made 10^8 passes here
+    proc = subprocess.run(
+        [sys.executable, "-m", "semigraded", "nf", files[name], text, "--format", "json"],
+        capture_output=True, text=True, env=package_env, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert (results["normal_form"], results["degree"]) == (form, 10**8)
 
 
 NO_DATACLASSES = '''
